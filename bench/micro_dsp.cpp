@@ -10,6 +10,9 @@
 #include "dsp/mixer.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
+#include "net/anticollision/slotted.hpp"
+#include "net/mcs/adapt.hpp"
+#include "net/mcs/mcs.hpp"
 #include "phy/modem.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
@@ -316,6 +319,43 @@ void BM_FleetBudgetRun(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FleetBudgetRun)->Arg(1000);
+
+// Per-node MCS set-up: what every polled node pays when its reader first
+// creates its RateController. The ladder's threshold table is filled by the
+// first iteration and shared after that.
+void BM_RateControllerSetup(benchmark::State& state) {
+  const net::mcs::McsLadder ladder = net::mcs::McsLadder::default_ladder();
+  const net::mcs::AdaptConfig adapt{};
+  for (auto _ : state) {
+    const net::mcs::RateController rc(ladder, adapt);
+    benchmark::DoNotOptimize(&rc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RateControllerSetup);
+
+// One slotted acquisition over a fleet window's worth of contenders with
+// spread powers and lossy decodes (capture and decode failures both occur).
+void BM_SlottedInventory(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  common::Rng gen(17);
+  std::vector<net::anticollision::Contender> contenders(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    contenders[i].id = static_cast<std::uint16_t>(i);
+    contenders[i].rx_power_rel = gen.uniform(0.01, 10.0);
+    contenders[i].delivery_prob = gen.uniform(0.5, 1.0);
+  }
+  const net::anticollision::QConfig cfg{};
+  const common::Rng rng(23);
+  for (auto _ : state) {
+    common::Rng run_rng = rng;
+    auto res = net::anticollision::run_slotted_inventory(contenders, cfg, run_rng);
+    benchmark::DoNotOptimize(&res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SlottedInventory)->Arg(192);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -22,6 +23,9 @@ struct SlottedMetrics {
     return *m;
   }
 };
+
+// Slots a round walks by scanning the draws before it sorts them instead.
+constexpr std::size_t kScanSlots = 16;
 
 double clamp_q(double q, const QConfig& cfg) {
   return std::min(cfg.q_max, std::max(cfg.q_min, q));
@@ -51,26 +55,54 @@ SlottedResult run_slotted_inventory(const std::vector<Contender>& contenders,
   unresolved.reserve(contenders.size());
   for (std::size_t i = 0; i < contenders.size(); ++i) unresolved.push_back(i);
 
-  SlottedMetrics& m = SlottedMetrics::get();
+  // Scratch reused across rounds: a frame of 2^Q slots costs no allocation,
+  // however large Q is or however early the round is cancelled.
+  using Draw = std::pair<std::size_t, std::size_t>;  // (slot, contender)
+  std::vector<Draw> draws;
+  draws.reserve(contenders.size());
+  std::vector<std::size_t> occ;
+  std::vector<double> powers;
+  std::vector<bool> resolved_now(contenders.size(), false);
+
   while (!unresolved.empty() && res.rounds < cfg.max_rounds) {
     const std::uint8_t round_q = adapter.q();
     const std::size_t frame = adapter.frame_slots();
     // Every unresolved contender draws its slot first, in ascending
     // contender order: the documented draw schedule.
-    std::vector<std::vector<std::size_t>> occupants(frame);
+    draws.clear();
     for (std::size_t idx : unresolved) {
       const auto slot = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(frame) - 1));
-      occupants[slot].push_back(idx);
+      draws.emplace_back(slot, idx);
     }
-    // Then the reader walks the frame slot by slot.
+    // Then the reader walks the frame slot by slot. Most rounds are
+    // cancelled within a few slots, so the first kScanSlots slots gather
+    // their occupants by scanning the draws (already in ascending contender
+    // order); a round that runs longer sorts the draws by (slot, contender)
+    // once and walks them with a cursor. Either way each slot's occupants
+    // come out in ascending contender order, as from a per-slot bucket.
+    bool sorted = false;
+    std::size_t next = 0;  // sorted-walk cursor
     for (std::size_t s = 0; s < frame; ++s) {
-      const std::vector<std::size_t>& occ = occupants[s];
+      occ.clear();
+      if (!sorted && s == kScanSlots) {
+        std::sort(draws.begin(), draws.end());
+        next = static_cast<std::size_t>(
+            std::lower_bound(draws.begin(), draws.end(), Draw{s, 0}) - draws.begin());
+        sorted = true;
+      }
+      if (sorted) {
+        for (; next < draws.size() && draws[next].first == s; ++next)
+          occ.push_back(draws[next].second);
+      } else {
+        for (const Draw& d : draws)
+          if (d.first == s) occ.push_back(d.second);
+      }
+      const std::size_t n_occ = occ.size();
       SlotKind kind = SlotKind::kIdle;
       std::uint16_t winner_id = 0;
-      if (!occ.empty()) {
-        std::vector<double> powers;
-        powers.reserve(occ.size());
+      if (n_occ > 0) {
+        powers.clear();
         for (std::size_t idx : occ) powers.push_back(contenders[idx].rx_power_rel);
         const std::optional<std::size_t> won = resolve_capture(powers, cfg.capture);
         if (!won.has_value()) {
@@ -80,29 +112,25 @@ SlottedResult run_slotted_inventory(const std::vector<Contender>& contenders,
           // The winning reply still has to decode at its link SNR; a failed
           // decode is indistinguishable from a collision at the reader.
           if (rng.coin(contenders[widx].delivery_prob)) {
-            kind = occ.size() == 1 ? SlotKind::kSuccess : SlotKind::kCapture;
+            kind = n_occ == 1 ? SlotKind::kSuccess : SlotKind::kCapture;
             winner_id = contenders[widx].id;
             res.resolved.push_back(winner_id);
-            unresolved.erase(
-                std::find(unresolved.begin(), unresolved.end(), widx));
+            resolved_now[widx] = true;
           } else {
             kind = SlotKind::kCollision;
             ++res.decode_failures;
-            m.decode_fail.inc();
           }
         }
       }
       adapter.on_slot(kind);
       ++res.slots;
-      m.slots.inc();
       switch (kind) {
-        case SlotKind::kIdle: ++res.idle_slots; m.idle.inc(); break;
-        case SlotKind::kSuccess: ++res.success_slots; m.success.inc(); break;
-        case SlotKind::kCollision: ++res.collision_slots; m.collision.inc(); break;
-        case SlotKind::kCapture: ++res.capture_slots; m.capture.inc(); break;
+        case SlotKind::kIdle: ++res.idle_slots; break;
+        case SlotKind::kSuccess: ++res.success_slots; break;
+        case SlotKind::kCollision: ++res.collision_slots; break;
+        case SlotKind::kCapture: ++res.capture_slots; break;
       }
-      if (cfg.record_trace)
-        res.trace.push_back({res.rounds, s, kind, occ.size(), winner_id});
+      if (cfg.record_trace) res.trace.push_back({res.rounds, s, kind, n_occ, winner_id});
       // Gen2 QueryAdjust: once the accumulated evidence moves the integer Q,
       // the reader cancels the rest of the frame and re-announces at the new
       // size. Without this, a badly sized frame must be walked to the end
@@ -110,10 +138,20 @@ SlottedResult run_slotted_inventory(const std::vector<Contender>& contenders,
       // idle frame after one overloaded round).
       if (adapter.q() != round_q) break;
     }
+    // Drop this round's winners; the survivors keep ascending order.
+    std::erase_if(unresolved, [&](std::size_t idx) { return resolved_now[idx]; });
     ++res.rounds;
   }
   res.complete = unresolved.empty();
   res.final_qfp = adapter.qfp();
+
+  SlottedMetrics& m = SlottedMetrics::get();
+  m.slots.add(res.slots);
+  m.idle.add(res.idle_slots);
+  m.success.add(res.success_slots);
+  m.collision.add(res.collision_slots);
+  m.capture.add(res.capture_slots);
+  m.decode_fail.add(res.decode_failures);
   return res;
 }
 

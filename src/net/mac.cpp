@@ -221,8 +221,10 @@ void ReaderMac::demote(std::uint8_t addr) {
 }
 
 void ReaderMac::enable_mcs(const mcs::McsLadder& ladder, mcs::AdaptConfig adapt) {
+  mcs::validate(adapt);
   ladder_ = &ladder;
   adapt_ = adapt;
+  rung_poll_ctrs_.assign(ladder.size(), std::nullopt);
 }
 
 mcs::RateController& ReaderMac::controller_for(std::uint8_t addr) {
@@ -248,9 +250,10 @@ void ReaderMac::observe_link(std::uint8_t addr, std::optional<common::SnrDb> snr
   mcs::RateController& ctl = controller_for(addr);
   const std::size_t used = ctl.rung();  // the rung this poll actually ran at
   ++rung_polls_[used];
-  McsMetrics::get()
-      .rung_polls.with({{"rung", ladder_->rung(used).name}})
-      .inc();
+  std::optional<obs::Counter>& rung_ctr = rung_poll_ctrs_[used];
+  if (!rung_ctr.has_value())
+    rung_ctr = McsMetrics::get().rung_polls.with({{"rung", ladder_->rung(used).name}});
+  rung_ctr->inc();
   const int step = ctl.observe(snr_ref, delivered);
   if (step > 0) {
     ++mcs_steps_up_;

@@ -23,6 +23,7 @@
 #include "net/app.hpp"
 #include "net/frame.hpp"
 #include "net/mcs/adapt.hpp"
+#include "obs/metrics.hpp"
 
 namespace vab::net {
 
@@ -168,6 +169,8 @@ class ReaderMac {
   /// `observe_link` feeds each node's RateController, and `uplink_entry`
   /// exposes the rung the transport should evaluate. Without this call the
   /// reader is fixed-rate and wire format / statistics are unchanged.
+  /// Throws std::invalid_argument naming the field when `adapt` is invalid
+  /// (see mcs::validate).
   void enable_mcs(const mcs::McsLadder& ladder, mcs::AdaptConfig adapt = {});
   bool mcs_enabled() const { return ladder_ != nullptr; }
   /// Rung currently commanded for `addr` (creates the controller lazily at
@@ -207,6 +210,9 @@ class ReaderMac {
   mcs::AdaptConfig adapt_;
   std::map<std::uint8_t, mcs::RateController> controllers_;
   std::map<std::size_t, std::size_t> rung_polls_;
+  /// `net.mcs.rung_polls{rung=<name>}` handle per rung index, resolved on
+  /// the first poll at that rung so never-used rungs register no series.
+  std::vector<std::optional<obs::Counter>> rung_poll_ctrs_;
   std::size_t mcs_steps_up_ = 0;
   std::size_t mcs_steps_down_ = 0;
 };

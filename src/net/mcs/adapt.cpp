@@ -2,16 +2,29 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace vab::net::mcs {
 
+void validate(const AdaptConfig& cfg) {
+  // Negated comparisons so NaN fails every check.
+  if (!(cfg.target_delivery > 0.0 && cfg.target_delivery < 1.0))
+    throw std::invalid_argument("AdaptConfig.target_delivery must lie in (0, 1)");
+  if (!(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0))
+    throw std::invalid_argument("AdaptConfig.ewma_alpha must lie in (0, 1]");
+  if (cfg.frame_bits < 1)
+    throw std::invalid_argument("AdaptConfig.frame_bits must be >= 1");
+  if (!(cfg.outcome_down_below < cfg.outcome_up_above))
+    throw std::invalid_argument(
+        "AdaptConfig.outcome_down_below must be < outcome_up_above");
+}
+
 RateController::RateController(const McsLadder& ladder, AdaptConfig cfg)
     : ladder_(&ladder), cfg_(cfg) {
-  sustain_snr_db_.reserve(ladder.size());
-  for (std::size_t r = 0; r < ladder.size(); ++r) {
-    sustain_snr_db_.push_back(
-        ladder.snr_for_delivery(r, cfg_.target_delivery, cfg_.frame_bits).raw());
-  }
+  validate(cfg_);
+  const std::vector<double>& sustain =
+      ladder.sustain_snr_db(cfg_.target_delivery, cfg_.frame_bits);
+  std::copy(sustain.begin(), sustain.end(), sustain_snr_db_.begin());
   rung_ = std::min(cfg_.start_rung, ladder.size() - 1);
   delivery_ewma_ = cfg_.target_delivery;
 }
@@ -23,7 +36,7 @@ common::SnrDb RateController::down_threshold(std::size_t rung_index) const {
 }
 
 common::SnrDb RateController::up_threshold(std::size_t rung_index) const {
-  if (rung_index + 1 >= sustain_snr_db_.size())
+  if (rung_index + 1 >= ladder_->size())
     return common::SnrDb{std::numeric_limits<double>::infinity()};
   return common::SnrDb{sustain_snr_db_[rung_index + 1] + cfg_.hysteresis_db};
 }

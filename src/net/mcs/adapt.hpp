@@ -19,9 +19,9 @@
 //    delivery EWMA (a BER proxy) is compared against fixed delivery bands.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "common/units.hpp"
 #include "net/mcs/mcs.hpp"
@@ -44,10 +44,19 @@ struct AdaptConfig {
   bool frozen = false;
 };
 
+/// Rejects a config no controller can run with, throwing
+/// std::invalid_argument naming the field: target_delivery must lie in
+/// (0, 1), ewma_alpha in (0, 1], frame_bits >= 1, and
+/// outcome_down_below < outcome_up_above.
+void validate(const AdaptConfig& cfg);
+
 /// One node's adaptation state machine. Deterministic: decisions are a pure
 /// function of the observation sequence (no RNG, no clock).
 class RateController {
  public:
+  /// Validates `cfg` (see validate()) and copies the ladder's shared
+  /// per-rung sustain thresholds for (target_delivery, frame_bits); the
+  /// bisection runs once per ladder and config, not once per node.
   RateController(const McsLadder& ladder, AdaptConfig cfg);
 
   /// Feeds one poll observation. `snr_ref` is the transport's measured
@@ -80,7 +89,8 @@ class RateController {
 
   const McsLadder* ladder_;
   AdaptConfig cfg_;
-  std::vector<double> sustain_snr_db_;  ///< per-rung target-delivery SNR
+  /// Per-rung target-delivery SNR (first ladder_->size() entries used).
+  std::array<double, kMaxRungs> sustain_snr_db_{};
   std::size_t rung_ = 0;
   std::optional<double> snr_ewma_;
   double delivery_ewma_ = 1.0;

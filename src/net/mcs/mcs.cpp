@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -88,7 +90,21 @@ void McsEntry::apply(phy::PhyConfig& phy, phy::FecConfig& fec_cfg) const {
   fec_cfg.enable = fec;
 }
 
-McsLadder::McsLadder(std::vector<McsEntry> rungs) : rungs_(std::move(rungs)) {
+// Per-ladder table of sustain thresholds, one entry per (target,
+// payload_bits) seen. A deque keeps handed-out references stable as
+// entries are appended.
+struct McsLadder::ThresholdMemo {
+  struct Entry {
+    double target;
+    std::size_t payload_bits;
+    std::vector<double> snr_db;
+  };
+  std::mutex mu;
+  std::deque<Entry> entries;
+};
+
+McsLadder::McsLadder(std::vector<McsEntry> rungs)
+    : rungs_(std::move(rungs)), memo_(std::make_shared<ThresholdMemo>()) {
   if (rungs_.empty()) throw std::invalid_argument("MCS ladder is empty");
   if (rungs_.size() > kMaxRungs)
     throw std::invalid_argument("MCS ladder exceeds kMaxRungs");
@@ -140,6 +156,21 @@ common::SnrDb McsLadder::snr_for_delivery(std::size_t rung_index, double target,
     }
   }
   return common::SnrDb{0.5 * (lo + hi)};
+}
+
+const std::vector<double>& McsLadder::sustain_snr_db(
+    double target, std::size_t payload_bits) const {
+  std::lock_guard<std::mutex> lk(memo_->mu);
+  for (const ThresholdMemo::Entry& e : memo_->entries) {
+    if (e.target == target && e.payload_bits == payload_bits) return e.snr_db;
+  }
+  // Fill fully before inserting, so a throwing target leaves no entry.
+  std::vector<double> snr_db;
+  snr_db.reserve(rungs_.size());
+  for (std::size_t r = 0; r < rungs_.size(); ++r)
+    snr_db.push_back(snr_for_delivery(r, target, payload_bits).raw());
+  memo_->entries.push_back({target, payload_bits, std::move(snr_db)});
+  return memo_->entries.back().snr_db;
 }
 
 }  // namespace vab::net::mcs

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,8 +117,20 @@ class McsLadder {
   common::SnrDb snr_for_delivery(std::size_t rung, double target,
                                  std::size_t payload_bits) const;
 
+  /// snr_for_delivery(r, target, payload_bits).raw() for every rung r, in
+  /// rung order. The rungs are immutable after validation, so each
+  /// (target, payload_bits) table is bisected once, on first use, and
+  /// shared by every copy of this ladder; later calls are a locked lookup.
+  /// Thread-safe. The reference stays valid while any copy of the ladder
+  /// lives.
+  const std::vector<double>& sustain_snr_db(double target,
+                                            std::size_t payload_bits) const;
+
  private:
+  struct ThresholdMemo;
+
   std::vector<McsEntry> rungs_;
+  std::shared_ptr<ThresholdMemo> memo_;
 };
 
 }  // namespace vab::net::mcs

@@ -15,7 +15,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -353,6 +357,107 @@ TEST(RateControllerProperties, FrozenControllerNeverMoves) {
   for (int i = 0; i < 100; ++i) ctl.observe(common::SnrDb{-20.0}, false);
   EXPECT_EQ(ctl.rung(), cfg.start_rung);
   EXPECT_EQ(ctl.steps_up() + ctl.steps_down(), 0u);
+}
+
+// The shared per-ladder threshold table: RateController reads it instead
+// of bisecting per node, so it must hold exactly what bisection gives.
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+struct ThresholdCase {
+  double target;
+  std::size_t frame_bits;
+};
+// Pairs share a target or a frame length, so a table keyed on only one of
+// the two would hand back the wrong row.
+const ThresholdCase kThresholdCases[] = {{0.9, net::mcs::kValidationFrameBits},
+                                         {0.9, 1024},
+                                         {0.5, net::mcs::kValidationFrameBits},
+                                         {0.99, 1}};
+
+TEST(McsLadderThresholdMemo, MatchesBisectionBitForBitOnLadderAndCopy) {
+  const McsLadder fresh = McsLadder::default_ladder();
+  const McsLadder copy = fresh;  // shares fresh's table
+  for (const ThresholdCase& c : kThresholdCases) {
+    // Fill through the copy first, read back through the original.
+    const std::vector<double>& via_copy = copy.sustain_snr_db(c.target, c.frame_bits);
+    const std::vector<double>& via_orig = fresh.sustain_snr_db(c.target, c.frame_bits);
+    EXPECT_EQ(&via_copy, &via_orig) << "copies share one table";
+    ASSERT_EQ(via_orig.size(), fresh.size());
+    for (std::size_t r = 0; r < fresh.size(); ++r) {
+      const double bisected = fresh.snr_for_delivery(r, c.target, c.frame_bits).raw();
+      EXPECT_EQ(bits_of(via_orig[r]), bits_of(bisected))
+          << "target " << c.target << " bits " << c.frame_bits << " rung " << r;
+    }
+  }
+}
+
+TEST(RateControllerThresholdMemo, ControllerThresholdsEqualBisection) {
+  for (const ThresholdCase& c : kThresholdCases) {
+    AdaptConfig cfg;
+    cfg.target_delivery = c.target;
+    cfg.frame_bits = c.frame_bits;
+    cfg.hysteresis_db = 0.0;
+    const RateController ctl(ladder(), cfg);
+    for (std::size_t r = 1; r < ladder().size(); ++r) {
+      const double bisected = ladder().snr_for_delivery(r, c.target, c.frame_bits).raw();
+      EXPECT_EQ(bits_of(ctl.down_threshold(r).raw()), bits_of(bisected)) << "rung " << r;
+      EXPECT_EQ(bits_of(ctl.up_threshold(r - 1).raw()), bits_of(bisected))
+          << "rung " << r;
+    }
+  }
+}
+
+TEST(RateControllerThresholdMemo, ConcurrentConstructionSeesIdenticalThresholds) {
+  // Eight threads race to fill a fresh ladder's tables; every controller
+  // must see the serial bisection's thresholds.
+  const McsLadder shared = McsLadder::default_ladder();
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 50;
+  const std::size_t n_cases = std::size(kThresholdCases);
+  // seen[t][case][rung]: last thresholds thread t observed; mismatches
+  // between repeated constructions on one thread are counted.
+  std::vector<std::vector<std::vector<double>>> seen(
+      kThreads, std::vector<std::vector<double>>(n_cases));
+  std::vector<std::size_t> unstable(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::size_t ci = (t + i) % n_cases;
+        AdaptConfig cfg;
+        cfg.target_delivery = kThresholdCases[ci].target;
+        cfg.frame_bits = kThresholdCases[ci].frame_bits;
+        const RateController ctl(shared, cfg);
+        std::vector<double> th;
+        for (std::size_t r = 1; r < shared.size(); ++r)
+          th.push_back(ctl.down_threshold(r).raw());
+        if (!seen[t][ci].empty() && seen[t][ci] != th) ++unstable[t];
+        seen[t][ci] = std::move(th);
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t ci = 0; ci < n_cases; ++ci) {
+    std::vector<double> expected;
+    for (std::size_t r = 1; r < shared.size(); ++r) {
+      expected.push_back(shared
+                             .snr_for_delivery(r, kThresholdCases[ci].target,
+                                               kThresholdCases[ci].frame_bits)
+                             .raw());
+    }
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][ci].size(), expected.size()) << "thread " << t;
+      for (std::size_t k = 0; k < expected.size(); ++k)
+        EXPECT_EQ(bits_of(seen[t][ci][k]), bits_of(expected[k]))
+            << "thread " << t << " case " << ci << " rung " << k + 1;
+    }
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(unstable[t], 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/config.hpp"
 #include "net/frame.hpp"
+#include "net/mac.hpp"
+#include "net/mcs/adapt.hpp"
+#include "net/mcs/mcs.hpp"
 #include "phy/coding.hpp"
 
 namespace vab {
@@ -191,6 +195,77 @@ TEST(ParseCheckedBounds, EveryErrorHasAName) {
                        ParseError::kLengthMismatch, ParseError::kBadType}) {
     EXPECT_STRNE(net::parse_error_name(e), "unknown");
   }
+}
+
+// ---------------------------------------------------------- AdaptConfig --
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Expects both entry points to reject `cfg` with a message naming `field`,
+// and a rejected enable_mcs to leave the reader fixed-rate.
+void expect_adapt_rejected(const net::mcs::AdaptConfig& cfg, const std::string& field) {
+  const net::mcs::McsLadder ladder = net::mcs::McsLadder::default_ladder();
+  try {
+    const net::mcs::RateController ctl(ladder, cfg);
+    ADD_FAILURE() << "RateController accepted bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  net::ReaderMac reader{net::MacTiming{}};
+  try {
+    reader.enable_mcs(ladder, cfg);
+    ADD_FAILURE() << "enable_mcs accepted bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(reader.mcs_enabled());
+}
+
+TEST(AdaptConfigNegative, TargetDeliveryOutsideOpenUnitIntervalRejected) {
+  for (const double bad : {0.0, 1.0, -0.5, 1.5, kNaN}) {
+    net::mcs::AdaptConfig cfg;
+    cfg.target_delivery = bad;
+    expect_adapt_rejected(cfg, "target_delivery");
+  }
+}
+
+TEST(AdaptConfigNegative, EwmaAlphaOutsideHalfOpenUnitIntervalRejected) {
+  for (const double bad : {0.0, -0.1, 1.01, kNaN}) {
+    net::mcs::AdaptConfig cfg;
+    cfg.ewma_alpha = bad;
+    expect_adapt_rejected(cfg, "ewma_alpha");
+  }
+}
+
+TEST(AdaptConfigNegative, ZeroFrameBitsRejected) {
+  // Would otherwise pin every threshold near the bisection floor (-40 dB)
+  // and send every controller to the top rung.
+  net::mcs::AdaptConfig cfg;
+  cfg.frame_bits = 0;
+  expect_adapt_rejected(cfg, "frame_bits");
+}
+
+TEST(AdaptConfigNegative, InvertedOrEqualOutcomeBandsRejected) {
+  for (const auto& [down, up] :
+       {std::pair{0.98, 0.7}, std::pair{0.8, 0.8}, std::pair{kNaN, 0.9}}) {
+    net::mcs::AdaptConfig cfg;
+    cfg.outcome_down_below = down;
+    cfg.outcome_up_above = up;
+    expect_adapt_rejected(cfg, "outcome_down_below");
+  }
+}
+
+TEST(AdaptConfigNegative, BoundaryValuesAccepted) {
+  net::mcs::AdaptConfig cfg;
+  cfg.ewma_alpha = 1.0;
+  cfg.frame_bits = 1;
+  cfg.target_delivery = 1e-9;
+  EXPECT_NO_THROW(net::mcs::validate(cfg));
+  net::ReaderMac reader{net::MacTiming{}};
+  const net::mcs::McsLadder ladder = net::mcs::McsLadder::default_ladder();
+  EXPECT_NO_THROW(reader.enable_mcs(ladder, cfg));
+  EXPECT_TRUE(reader.mcs_enabled());
+  EXPECT_NO_THROW(net::mcs::validate(net::mcs::AdaptConfig{}));
 }
 
 }  // namespace

@@ -14,7 +14,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -25,6 +29,7 @@
 #include "net/inventory.hpp"
 #include "net/mac.hpp"
 #include "net/mcs/mcs.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/transport.hpp"
 #include "sim/scenario.hpp"
@@ -353,6 +358,161 @@ TEST(SlottedConformance, MaxRoundsBoundsTheRun) {
   EXPECT_EQ(r.slots, 1u);
 }
 
+// Reference implementation: run_slotted_inventory as first written, with one
+// occupant bucket per slot of the frame and per-slot power vectors. The
+// library walks a sorted (slot, contender) draw buffer instead; this copy
+// pins that the rewrite kept the draw schedule, occupant order and every
+// result field.
+SlottedResult bucketed_slotted_inventory(const std::vector<Contender>& contenders,
+                                         const QConfig& cfg, common::Rng& rng) {
+  SlottedResult res;
+  QAdapter adapter(cfg);
+  std::vector<std::size_t> unresolved;
+  for (std::size_t i = 0; i < contenders.size(); ++i) unresolved.push_back(i);
+  while (!unresolved.empty() && res.rounds < cfg.max_rounds) {
+    const std::uint8_t round_q = adapter.q();
+    const std::size_t frame = adapter.frame_slots();
+    std::vector<std::vector<std::size_t>> occupants(frame);
+    for (std::size_t idx : unresolved) {
+      const auto slot = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(frame) - 1));
+      occupants[slot].push_back(idx);
+    }
+    for (std::size_t s = 0; s < frame; ++s) {
+      const std::vector<std::size_t>& occ = occupants[s];
+      SlotKind kind = SlotKind::kIdle;
+      std::uint16_t winner_id = 0;
+      if (!occ.empty()) {
+        std::vector<double> powers;
+        for (std::size_t idx : occ) powers.push_back(contenders[idx].rx_power_rel);
+        const std::optional<std::size_t> won = resolve_capture(powers, cfg.capture);
+        if (!won.has_value()) {
+          kind = SlotKind::kCollision;
+        } else {
+          const std::size_t widx = occ[*won];
+          if (rng.coin(contenders[widx].delivery_prob)) {
+            kind = occ.size() == 1 ? SlotKind::kSuccess : SlotKind::kCapture;
+            winner_id = contenders[widx].id;
+            res.resolved.push_back(winner_id);
+            unresolved.erase(std::find(unresolved.begin(), unresolved.end(), widx));
+          } else {
+            kind = SlotKind::kCollision;
+            ++res.decode_failures;
+          }
+        }
+      }
+      adapter.on_slot(kind);
+      ++res.slots;
+      switch (kind) {
+        case SlotKind::kIdle: ++res.idle_slots; break;
+        case SlotKind::kSuccess: ++res.success_slots; break;
+        case SlotKind::kCollision: ++res.collision_slots; break;
+        case SlotKind::kCapture: ++res.capture_slots; break;
+      }
+      if (cfg.record_trace)
+        res.trace.push_back({res.rounds, s, kind, occ.size(), winner_id});
+      if (adapter.q() != round_q) break;
+    }
+    ++res.rounds;
+  }
+  res.complete = unresolved.empty();
+  res.final_qfp = adapter.qfp();
+  return res;
+}
+
+std::uint64_t slotted_counter(const char* name) {
+  return obs::Registry::global().counter_value(std::string("net.slotted.") + name);
+}
+
+TEST(SlottedOracle, SortedDrawWalkMatchesBucketedReferenceOverSeeds) {
+  // 240 seeds over the configuration matrix: q_init 0 / 4 / 15, capture on
+  // (6 dB) and off (infinite margin), lossy decodes, max_rounds exhaustion,
+  // tied powers, empty populations, trace on and off, and a frozen Q that
+  // walks whole frames (rounds long enough to leave the library's scan
+  // phase for its sorted walk).
+  const double q_inits[] = {0.0, 4.0, 15.0};
+  std::size_t exhausted = 0, captured = 0, lossy = 0, empty = 0, long_rounds = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    common::Rng gen(0x0AC1E000 + seed);
+    const std::size_t n =
+        seed % 23 == 0 ? 0 : static_cast<std::size_t>(gen.uniform_int(1, 200));
+    const bool tied_powers = seed % 7 == 0;
+    const bool lossy_decodes = seed % 3 != 0;
+    std::vector<Contender> pop(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pop[i].id = static_cast<std::uint16_t>(1000 + i);
+      pop[i].rx_power_rel = tied_powers ? static_cast<double>(gen.uniform_int(1, 3))
+                                        : gen.uniform(0.01, 10.0);
+      pop[i].delivery_prob = lossy_decodes ? gen.uniform(0.3, 1.0) : 1.0;
+    }
+    QConfig cfg;
+    cfg.q_init = q_inits[seed % 3];
+    cfg.capture.margin_db =
+        (seed / 3) % 2 == 0 ? 6.0 : std::numeric_limits<double>::infinity();
+    cfg.max_rounds = seed % 5 == 0 ? 3 : 64;
+    cfg.record_trace = seed % 4 != 3;
+    if (seed % 11 == 5) {
+      cfg.q_init = static_cast<double>(seed % 9);
+      cfg.c_up = 0.0;
+      cfg.c_down = 0.0;
+      cfg.max_rounds = 6;
+    }
+
+    const std::uint64_t slots0 = slotted_counter("slots");
+    const std::uint64_t idle0 = slotted_counter("idle");
+    const std::uint64_t success0 = slotted_counter("success");
+    const std::uint64_t collision0 = slotted_counter("collision");
+    const std::uint64_t capture0 = slotted_counter("capture");
+    const std::uint64_t decode0 = slotted_counter("decode_fail");
+    common::Rng rng_lib(seed);
+    common::Rng rng_ref(seed);
+    const SlottedResult lib = run_slotted_inventory(pop, cfg, rng_lib);
+    const SlottedResult ref = bucketed_slotted_inventory(pop, cfg, rng_ref);
+
+    SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n));
+    EXPECT_EQ(lib.rounds, ref.rounds);
+    EXPECT_EQ(lib.slots, ref.slots);
+    EXPECT_EQ(lib.idle_slots, ref.idle_slots);
+    EXPECT_EQ(lib.success_slots, ref.success_slots);
+    EXPECT_EQ(lib.collision_slots, ref.collision_slots);
+    EXPECT_EQ(lib.capture_slots, ref.capture_slots);
+    EXPECT_EQ(lib.decode_failures, ref.decode_failures);
+    EXPECT_EQ(lib.resolved, ref.resolved);
+    EXPECT_EQ(lib.complete, ref.complete);
+    EXPECT_EQ(std::memcmp(&lib.final_qfp, &ref.final_qfp, sizeof(double)), 0);
+    ASSERT_EQ(lib.trace.size(), ref.trace.size());
+    for (std::size_t i = 0; i < lib.trace.size(); ++i) {
+      EXPECT_EQ(lib.trace[i].round, ref.trace[i].round);
+      EXPECT_EQ(lib.trace[i].slot, ref.trace[i].slot);
+      EXPECT_EQ(lib.trace[i].kind, ref.trace[i].kind);
+      EXPECT_EQ(lib.trace[i].occupants, ref.trace[i].occupants);
+      EXPECT_EQ(lib.trace[i].winner, ref.trace[i].winner);
+    }
+    // Both streams consumed the same number of draws.
+    EXPECT_EQ(rng_lib.uniform_int(0, 1 << 30), rng_ref.uniform_int(0, 1 << 30));
+    // The library's obs counters tally the same slots as its result.
+    EXPECT_EQ(slotted_counter("slots") - slots0, lib.slots);
+    EXPECT_EQ(slotted_counter("idle") - idle0, lib.idle_slots);
+    EXPECT_EQ(slotted_counter("success") - success0, lib.success_slots);
+    EXPECT_EQ(slotted_counter("collision") - collision0, lib.collision_slots);
+    EXPECT_EQ(slotted_counter("capture") - capture0, lib.capture_slots);
+    EXPECT_EQ(slotted_counter("decode_fail") - decode0, lib.decode_failures);
+
+    if (n > 0 && !ref.complete && ref.rounds == cfg.max_rounds) ++exhausted;
+    if (ref.capture_slots > 0) ++captured;
+    if (ref.decode_failures > 0) ++lossy;
+    if (n == 0) ++empty;
+    for (const net::anticollision::SlotRecord& rec : ref.trace)
+      if (rec.slot >= 64) ++long_rounds;
+  }
+  // The matrix really reached each regime it claims to cover.
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_GT(captured, 0u);
+  EXPECT_GT(lossy, 0u);
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(long_rounds, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // 4. Reader <-> node MCS command flow, frame by frame
 // ---------------------------------------------------------------------------
@@ -438,6 +598,38 @@ TEST(McsCommandConformance, ObserveLinkWalksTheRungAndRecordsResidency) {
   std::size_t residency = 0;
   for (const auto& [rung, polls] : reader.rung_polls()) residency += polls;
   EXPECT_EQ(residency, 60u);
+}
+
+TEST(McsCommandConformance, PerRungPollCountersSumToPollsAndMatchResidency) {
+  // The per-rung obs series (handles cached per reader) must count exactly
+  // what rung_polls() records, and together every observed poll.
+  auto series = [](std::size_t r) {
+    return obs::Registry::global().counter_value("net.mcs.rung_polls{rung=" +
+                                                  ladder().rung(r).name + "}");
+  };
+  std::vector<std::uint64_t> before(ladder().size());
+  for (std::size_t r = 0; r < ladder().size(); ++r) before[r] = series(r);
+
+  net::ReaderMac reader{net::MacTiming{}};
+  reader.enable_mcs(ladder());
+  std::size_t polls = 0;
+  // Node 9 climbs to the top rung, node 4 falls to the bottom, node 5
+  // stays where it started.
+  for (int i = 0; i < 60; ++i, polls += 3) {
+    reader.observe_link(9, common::SnrDb{30.0}, true);
+    reader.observe_link(4, common::SnrDb{-20.0}, false);
+    reader.observe_link(5, std::nullopt, i % 4 != 0);
+  }
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < ladder().size(); ++r) {
+    const std::uint64_t delta = series(r) - before[r];
+    const auto it = reader.rung_polls().find(r);
+    const std::size_t expected = it == reader.rung_polls().end() ? 0 : it->second;
+    EXPECT_EQ(delta, expected) << "rung " << r;
+    total += delta;
+  }
+  EXPECT_EQ(total, polls);
+  EXPECT_GT(reader.rung_polls().size(), 2u);  // several rungs really ran
 }
 
 TEST(McsCommandConformance, DemoteResetsTheRateController) {
