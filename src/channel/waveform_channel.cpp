@@ -1,5 +1,6 @@
 #include "channel/waveform_channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,12 +13,35 @@ namespace vab::channel {
 
 WaveformChannel::WaveformChannel(WaveformChannelConfig cfg, common::Rng& rng)
     : cfg_(std::move(cfg)), rng_(&rng) {
-  if (cfg_.fs_hz <= 0.0) throw std::invalid_argument("sample rate must be > 0");
+  const auto finite_positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!finite_positive(cfg_.fs_hz))
+    throw std::invalid_argument("sample rate must be finite and > 0");
+  if (!finite_positive(cfg_.sound_speed_mps))
+    throw std::invalid_argument("sound speed must be finite and > 0");
   if (cfg_.taps.empty()) throw std::invalid_argument("channel needs at least one tap");
+  if (!(std::isfinite(cfg_.surface_wave_amplitude_m) &&
+        cfg_.surface_wave_amplitude_m >= 0.0))
+    throw std::invalid_argument("surface wave amplitude must be finite and >= 0");
+  if (!finite_positive(cfg_.surface_wave_period_s))
+    throw std::invalid_argument("surface wave period must be finite and > 0");
+  for (const auto& tap : cfg_.taps) {
+    const double lowest = tap.delay_s * cfg_.fs_hz - breathe_samples(tap);
+    if (!(std::isfinite(lowest) && lowest >= 0.0))
+      throw std::invalid_argument(
+          "tap delay must be finite and stay >= 0 under surface-wave breathing");
+  }
   fade_.resize(cfg_.taps.size(), 1.0);
   if (cfg_.fading_sigma_db > 0.0) {
     for (auto& f : fade_)
       f = std::pow(10.0, rng_->gaussian(0.0, cfg_.fading_sigma_db) / 20.0);
+  }
+  fixed_.reserve(cfg_.taps.size());
+  for (std::size_t p = 0; p < cfg_.taps.size(); ++p) {
+    const double g = cfg_.taps[p].gain * fade_[p];
+    const double d0 = cfg_.taps[p].delay_s * cfg_.fs_hz;  // fractional sample delay
+    const auto d_int = static_cast<std::size_t>(d0);
+    const double frac = d0 - static_cast<double>(d_int);
+    fixed_.push_back({d_int, g * (1.0 - frac), g * frac});
   }
 }
 
@@ -27,43 +51,62 @@ double WaveformChannel::max_delay_s() const {
   return d;
 }
 
+bool WaveformChannel::breathes(const PathTap& tap) const {
+  return cfg_.surface_wave_amplitude_m > 0.0 && tap.surface_bounces > 0;
+}
+
+double WaveformChannel::breathe_samples(const PathTap& tap) const {
+  // Each surface bounce adds ~2*displacement of path length; taps with
+  // more bounces move proportionally more.
+  if (!breathes(tap)) return 0.0;
+  return 2.0 * cfg_.surface_wave_amplitude_m * static_cast<double>(tap.surface_bounces) /
+         cfg_.sound_speed_mps * cfg_.fs_hz;
+}
+
 void WaveformChannel::apply_taps(const rvec& tx, rvec& out) const {
   VAB_STAGE("channel.apply_taps");
   const double fs = cfg_.fs_hz;
   const double wave_amp = cfg_.surface_wave_amplitude_m;
-  // Extra headroom covers the static delays plus the surface-wave breathing.
+  // Extra headroom covers the static delays plus the surface-wave breathing
+  // of the most-bounced tap (never less than six bounces' worth, the
+  // historical allowance, so output lengths do not depend on the tap set).
+  int bounces = 6;
+  for (const auto& tap : cfg_.taps) bounces = std::max(bounces, tap.surface_bounces);
   const double max_breathe =
-      wave_amp > 0.0 ? 2.0 * wave_amp * 6.0 / cfg_.sound_speed_mps : 0.0;
+      wave_amp > 0.0
+          ? 2.0 * wave_amp * static_cast<double>(bounces) / cfg_.sound_speed_mps
+          : 0.0;
   const auto extra =
       static_cast<std::size_t>(std::ceil((max_delay_s() + max_breathe) * fs)) + 2;
   out.assign(tx.size() + extra, 0.0);
-  for (std::size_t p = 0; p < cfg_.taps.size(); ++p) {
+  // Taps apply in order. Runs of fixed-delay taps go through the gather
+  // kernel (same per-output addition order, so the same bits); a breathing
+  // tap's delay changes per sample, so it keeps the scatter loop.
+  std::size_t p = 0;
+  while (p < cfg_.taps.size()) {
+    if (!breathes(cfg_.taps[p])) {
+      std::size_t end = p + 1;
+      while (end < cfg_.taps.size() && !breathes(cfg_.taps[end])) ++end;
+      dsp::simd::delay_taps(fixed_.data() + p, end - p, tx.data(), tx.size(), out.data(),
+                            out.size());
+      p = end;
+      continue;
+    }
     const auto& tap = cfg_.taps[p];
     const double g = tap.gain * fade_[p];
     const double d0 = tap.delay_s * fs;  // fractional sample delay
-    if (wave_amp > 0.0 && tap.surface_bounces > 0) {
-      // Each surface bounce adds ~2*displacement of path length; taps with
-      // more bounces move proportionally more. Random initial phase per tap.
-      const double omega = common::kTwoPi / (cfg_.surface_wave_period_s * fs);
-      const double depth_mod = 2.0 * wave_amp * static_cast<double>(tap.surface_bounces) /
-                               cfg_.sound_speed_mps * fs;
-      const double phi0 = 2.0 * common::kPi * static_cast<double>(p) / 7.0;
-      for (std::size_t n = 0; n < tx.size(); ++n) {
-        const double d = d0 + depth_mod * std::sin(omega * static_cast<double>(n) + phi0);
-        const auto d_int = static_cast<std::size_t>(d);
-        const double frac = d - static_cast<double>(d_int);
-        out[n + d_int] += g * (1.0 - frac) * tx[n];
-        out[n + d_int + 1] += g * frac * tx[n];
-      }
-    } else {
-      const auto d_int = static_cast<std::size_t>(d0);
-      const double frac = d0 - static_cast<double>(d_int);
-      for (std::size_t n = 0; n < tx.size(); ++n) {
-        // Linear-interpolated fractional delay.
-        out[n + d_int] += g * (1.0 - frac) * tx[n];
-        out[n + d_int + 1] += g * frac * tx[n];
-      }
+    // Random initial phase per tap.
+    const double omega = common::kTwoPi / (cfg_.surface_wave_period_s * fs);
+    const double depth_mod = breathe_samples(tap);
+    const double phi0 = 2.0 * common::kPi * static_cast<double>(p) / 7.0;
+    for (std::size_t n = 0; n < tx.size(); ++n) {
+      const double d = d0 + depth_mod * std::sin(omega * static_cast<double>(n) + phi0);
+      const auto d_int = static_cast<std::size_t>(d);
+      const double frac = d - static_cast<double>(d_int);
+      out[n + d_int] += g * (1.0 - frac) * tx[n];
+      out[n + d_int + 1] += g * frac * tx[n];
     }
+    ++p;
   }
 }
 

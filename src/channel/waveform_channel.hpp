@@ -10,6 +10,7 @@
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "dsp/simd/simd.hpp"
 #include "fault/fault.hpp"
 
 namespace vab::channel {
@@ -38,6 +39,10 @@ struct WaveformChannelConfig {
 
 class WaveformChannel {
  public:
+  /// Throws std::invalid_argument for a non-finite or non-positive sample
+  /// rate or sound speed, an empty tap set, a negative or non-finite
+  /// surface-wave amplitude or period, or a tap whose delay — at the bottom
+  /// of its surface-wave breathing — is non-finite or below zero.
   WaveformChannel(WaveformChannelConfig cfg, common::Rng& rng);
 
   /// Propagates a pressure waveform (Pa, at 1 m from the source) through the
@@ -60,10 +65,17 @@ class WaveformChannel {
 
  private:
   void apply_taps(const rvec& tx, rvec& out) const;
+  /// True for a tap whose delay moves with the sea surface.
+  bool breathes(const PathTap& tap) const;
+  /// Peak delay swing of a breathing tap, in samples.
+  double breathe_samples(const PathTap& tap) const;
 
   WaveformChannelConfig cfg_;
   common::Rng* rng_;
   std::vector<double> fade_;  ///< per-tap linear fading factors for this run
+  /// Per-tap whole-sample delay and interpolation gains (fading included);
+  /// used for the taps that do not breathe.
+  std::vector<dsp::simd::DelayTap> fixed_;
 };
 
 /// Convenience: builds a single-tap line-of-sight channel with given one-way

@@ -3,14 +3,62 @@
 // Every stochastic component in the library takes an explicit Rng& so that a
 // trial is fully determined by its seed. Benches derive per-trial seeds from
 // a master seed with `child()` to keep trials independent yet reproducible.
+//
+// Stream contract: the engine is MT19937-64 and produces std::mt19937_64's
+// exact word stream for the same seed; `uniform()` is libstdc++'s
+// generate_canonical<double, 53> over it and `gaussian()` is libstdc++'s
+// Marsaglia polar method with its saved second value. Every seeded result in
+// the repo was pinned against that std::mt19937_64 + std::normal_distribution
+// pair, so the transcriptions below are bit-exact, not merely equivalent in
+// distribution (tests/test_rng_stream.cpp checks them against the std types).
+// Owning the code lets the twist run branchless and lets
+// `fill_complex_gaussian` batch the polar method's uniform draws.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 #include "common/types.hpp"
 
 namespace vab::common {
+
+/// MT19937-64: std::mt19937_64's seeding, twist and tempering, with the
+/// twist's per-word branch on the low bit replaced by a mask. Satisfies
+/// UniformRandomBitGenerator, so std distributions (integer, binomial) run
+/// on it unchanged.
+class MersenneTwister64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+
+  explicit MersenneTwister64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kStateWords) refill();
+    return temper(state_[pos_++]);
+  }
+
+ private:
+  friend class Rng;
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Generates the next 312 untempered words and rewinds to the first.
+  void refill();
+
+  result_type state_[kStateWords];
+  std::size_t pos_;
+};
 
 class Rng {
  public:
@@ -50,7 +98,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() { return unit_(engine_); }
+  double uniform() { return canonical(engine_()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -61,13 +109,18 @@ class Rng {
   }
 
   /// Standard normal sample.
-  double gaussian() { return normal_(engine_); }
+  double gaussian();
 
   /// Normal with given mean and standard deviation.
   double gaussian(double mean, double stddev) { return mean + stddev * gaussian(); }
 
   /// Circularly-symmetric complex Gaussian with E[|x|^2] = variance.
   cplx complex_gaussian(double variance = 1.0);
+
+  /// Writes out[i] = complex_gaussian(1.0) for i in [0, n): the same values
+  /// and the same final generator state as n scalar calls, with the polar
+  /// method's uniform pairs computed a block of engine words at a time.
+  void fill_complex_gaussian(cplx* out, std::size_t n);
 
   /// Bernoulli with probability p of true.
   bool coin(double p = 0.5) { return uniform() < p; }
@@ -78,13 +131,29 @@ class Rng {
   /// Vector of random bits.
   bitvec random_bits(std::size_t n);
 
-  std::mt19937_64& engine() { return engine_; }
+  MersenneTwister64& engine() { return engine_; }
+
+  /// The uniform double `uniform()` makes of one engine word: libstdc++'s
+  /// generate_canonical<double, 53>, i.e. double(u) / 2^64, clamped to
+  /// nextafter(1, 0) when double(u) rounds up to 2^64. Written without a
+  /// branch so batch loops vectorize: the clamp happens on the integer (a u
+  /// whose top 54 bits are all set, the only ones that round to 2^64, has
+  /// bit 10 cleared, which makes it round down to 2^64 - 2^11), and double(u)
+  /// is assembled from 32-bit halves h, each exact as (2^52 + h) - 2^52, so
+  /// the sum rounds once, like the direct conversion.
+  static double canonical(std::uint64_t u) {
+    u &= ~((((u >> 10) + 1) >> 54) << 10);
+    const auto half = [](std::uint64_t h) {
+      return std::bit_cast<double>(0x4330000000000000ULL | h) - 0x1p52;
+    };
+    return (half(u >> 32) * 0x1p32 + half(u & 0xffffffffULL)) * 0x1p-64;
+  }
 
  private:
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
   std::uint64_t seed_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  double saved_ = 0.0;  ///< polar method's second value, valid if has_saved_
+  bool has_saved_ = false;
 };
 
 }  // namespace vab::common

@@ -62,22 +62,28 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 }
 
-void FftPlan::transform(cplx* x, const cplx* twiddle, bool inverse) const {
-  const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
+void FftPlan::permute(cplx* x) const {
+  for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(x[i], x[j]);
   }
-  // Danielson–Lanczos butterflies; stage `len` reads its precomputed table.
-  simd::fft_stages(x, n, twiddle);
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    simd::cscale_inplace(x, inv_n, n);
-  }
 }
 
-void FftPlan::forward(cplx* x) const { transform(x, tw_fwd_.data(), false); }
-void FftPlan::inverse(cplx* x) const { transform(x, tw_inv_.data(), true); }
+// Danielson–Lanczos butterflies; stage `len` reads its precomputed table.
+void FftPlan::forward(cplx* x) const {
+  permute(x);
+  simd::fft_stages(x, n_, tw_fwd_.data());
+}
+
+void FftPlan::inverse(cplx* x) const {
+  permute(x);
+  inverse_bitreversed(x);
+}
+
+void FftPlan::inverse_bitreversed(cplx* x) const {
+  simd::fft_stages(x, n_, tw_inv_.data());
+  simd::cscale_inplace(x, 1.0 / static_cast<double>(n_), n_);
+}
 
 const FftPlan& fft_plan(std::size_t n) {
   static const obs::Counter hits = obs::counter("dsp.fft.plan_hits");

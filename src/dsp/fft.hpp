@@ -42,9 +42,16 @@ class FftPlan {
   void forward(cplx* x) const;
   /// In-place inverse transform (includes 1/N normalization).
   void inverse(cplx* x) const;
+  /// `inverse` for input already stored in bit-reversed order, i.e. bin k
+  /// at x[bitrev(k)]: the same stages and scaling without the permutation
+  /// pass, for producers that can write the spectrum there directly.
+  void inverse_bitreversed(cplx* x) const;
+
+  /// Bit-reversed index of `i` (i < size()).
+  std::size_t bitrev(std::size_t i) const { return bitrev_[i]; }
 
  private:
-  void transform(cplx* x, const cplx* twiddle, bool inverse) const;
+  void permute(cplx* x) const;
 
   std::size_t n_;
   std::vector<std::uint32_t> bitrev_;  ///< bit-reversed index of each i

@@ -71,6 +71,14 @@ struct Avx2Arch {
     const V t2 = _mm256_mul_pd(_mm256_permute_pd(a, 0x5), im);  // [bd, ad]
     return _mm256_addsub_pd(t1, t2);                            // [ac-bd, bc+ad]
   }
+
+  // Real-valued lanes: four doubles per D.
+  static constexpr std::size_t kRealLanes = 4;
+  using D = __m256d;
+  static D load_r(const double* p) { return _mm256_loadu_pd(p); }
+  static void store_r(double* p, D v) { _mm256_storeu_pd(p, v); }
+  static D add_r(D a, D b) { return _mm256_add_pd(a, b); }
+  static D mul_r(D a, D b) { return _mm256_mul_pd(a, b); }
 };
 
 }  // namespace vab::dsp::simd

@@ -63,6 +63,14 @@ struct NeonArch {
     const V t2 = vmulq_f64(vextq_f64(a, a, 1), im); // [-bd, ad]
     return vaddq_f64(t1, t2);                       // [ac-bd, bc+ad]
   }
+
+  // Real-valued lanes: two doubles per D (broadcast_real is their splat).
+  static constexpr std::size_t kRealLanes = 2;
+  using D = float64x2_t;
+  static D load_r(const double* p) { return vld1q_f64(p); }
+  static void store_r(double* p, D v) { vst1q_f64(p, v); }
+  static D add_r(D a, D b) { return vaddq_f64(a, b); }
+  static D mul_r(D a, D b) { return vmulq_f64(a, b); }
 };
 
 }  // namespace vab::dsp::simd

@@ -46,6 +46,15 @@ struct ScalarArch {
   static V cmul_bcast(V a, R re, I im) {
     return cplx{a.real() * re - a.imag() * im, a.imag() * re + a.real() * im};
   }
+
+  // Real-valued lanes (kRealLanes doubles per D) for kernels over rvec
+  // data; broadcast_real doubles as their splat.
+  static constexpr std::size_t kRealLanes = 1;
+  using D = double;
+  static D load_r(const double* p) { return *p; }
+  static void store_r(double* p, D v) { *p = v; }
+  static D add_r(D a, D b) { return a + b; }
+  static D mul_r(D a, D b) { return a * b; }
 };
 
 }  // namespace vab::dsp::simd

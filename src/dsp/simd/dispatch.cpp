@@ -176,6 +176,13 @@ void tone_real(const cplx* tone, double amplitude, double* out,
                     detail::tone_real_neon(tone, amplitude, out, n));
 }
 
+void delay_taps(const DelayTap* taps, std::size_t n_taps, const double* x,
+                std::size_t n_x, double* out, std::size_t n_out) {
+  VAB_SIMD_DISPATCH(detail::delay_taps_scalar(taps, n_taps, x, n_x, out, n_out),
+                    detail::delay_taps_avx2(taps, n_taps, x, n_x, out, n_out),
+                    detail::delay_taps_neon(taps, n_taps, x, n_x, out, n_out));
+}
+
 #undef VAB_SIMD_DISPATCH
 
 namespace {

@@ -10,10 +10,12 @@
 // contract).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/types.hpp"
 #include "dsp/simd/arch_scalar.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace vab::dsp::simd::detail {
 
@@ -191,6 +193,59 @@ void tone_real_k(const cplx* tone, double amplitude, double* out, std::size_t n)
                                                 ScalarArch::broadcast_real(amplitude)));
 }
 
+/// out[j] = (out[j] + prev * x_prev[j]) + now * x_now[j] for kRealLanes
+/// consecutive j.
+template <class A>
+inline void delay_tap_step(double* out, const double* x_prev, const double* x_now,
+                           typename A::D prev, typename A::D now) {
+  A::store_r(out, A::add_r(A::add_r(A::load_r(out), A::mul_r(prev, A::load_r(x_prev))),
+                           A::mul_r(now, A::load_r(x_now))));
+}
+
+/// One tap over n outputs that all read both of its samples.
+template <class A>
+void delay_tap_span(double* out, const double* x_prev, const double* x_now,
+                    double prev, double now, std::size_t n) {
+  const typename A::D vp = A::broadcast_real(prev);
+  const typename A::D vn = A::broadcast_real(now);
+  std::size_t j = 0;
+  for (; j + A::kRealLanes <= n; j += A::kRealLanes)
+    delay_tap_step<A>(out + j, x_prev + j, x_now + j, vp, vn);
+  for (; j < n; ++j)
+    delay_tap_step<ScalarArch>(out + j, x_prev + j, x_now + j, prev, now);
+}
+
+template <class A>
+void delay_taps_k(const DelayTap* taps, std::size_t n_taps, const double* x,
+                  std::size_t n_x, double* out, std::size_t n_out) {
+  if (n_x == 0) return;
+  // 8 KiB of outputs per block: it stays in L1 while every tap adds into
+  // it, and each tap's input window is the block shifted by its delay.
+  constexpr std::size_t kBlock = 1024;
+  for (std::size_t m0 = 0; m0 < n_out; m0 += kBlock) {
+    const std::size_t m1 = std::min(m0 + kBlock, n_out);
+    for (std::size_t p = 0; p < n_taps; ++p) {
+      const DelayTap& t = taps[p];
+      // Tap p touches outputs [delay, delay + n_x]: the first takes only
+      // x[0], the last only x[n_x - 1], the ones between both samples.
+      std::size_t m = std::max(m0, t.delay);
+      const std::size_t hi = std::min(m1, t.delay + n_x + 1);
+      if (m >= hi) continue;
+      if (m == t.delay) {
+        out[m] = out[m] + t.now * x[0];
+        ++m;
+      }
+      const std::size_t both_hi = std::min(hi, t.delay + n_x);
+      if (m < both_hi) {
+        delay_tap_span<A>(out + m, x + (m - t.delay - 1), x + (m - t.delay), t.prev,
+                          t.now, both_hi - m);
+        m = both_hi;
+      }
+      if (m < hi) out[m] = out[m] + t.prev * x[n_x - 1];
+    }
+  }
+}
+
 // Instantiates the per-ISA entry points declared in kernels_decl.hpp for
 // `arch` under name suffix `suffix`; used once per simd_*.cpp TU.
 #define VAB_SIMD_DEFINE_KERNELS(suffix, arch)                                  \
@@ -223,6 +278,11 @@ void tone_real_k(const cplx* tone, double amplitude, double* out, std::size_t n)
   void tone_real_##suffix(const cplx* tone, double amplitude, double* out,     \
                           std::size_t n) {                                     \
     tone_real_k<arch>(tone, amplitude, out, n);                                \
+  }                                                                            \
+  void delay_taps_##suffix(const DelayTap* taps, std::size_t n_taps,           \
+                           const double* x, std::size_t n_x, double* out,      \
+                           std::size_t n_out) {                                \
+    delay_taps_k<arch>(taps, n_taps, x, n_x, out, n_out);                      \
   }
 
 }  // namespace vab::dsp::simd::detail

@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "common/types.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace vab::dsp::simd::detail {
 
@@ -24,7 +25,10 @@ namespace vab::dsp::simd::detail {
   void mix_to_real_##suffix(const cplx* x, const cplx* tone, double* out,      \
                             std::size_t n);                                    \
   void tone_real_##suffix(const cplx* tone, double amplitude, double* out,     \
-                          std::size_t n);
+                          std::size_t n);                                      \
+  void delay_taps_##suffix(const DelayTap* taps, std::size_t n_taps,           \
+                           const double* x, std::size_t n_x, double* out,      \
+                           std::size_t n_out);
 
 VAB_SIMD_KERNELS(scalar)
 VAB_SIMD_KERNELS(avx2)

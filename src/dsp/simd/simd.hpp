@@ -78,6 +78,28 @@ void mix_to_real(const cplx* x, const cplx* tone, double* out, std::size_t n);
 /// out[i] = amplitude * tone[i].real().
 void tone_real(const cplx* tone, double amplitude, double* out, std::size_t n);
 
+/// One static fractional-delay tap of a propagation channel: output m takes
+/// `prev * x[m - delay - 1] + now * x[m - delay]` (linear interpolation
+/// between whole-sample delays `delay` and `delay + 1`).
+struct DelayTap {
+  std::size_t delay;
+  double now;   ///< gain * (1 - frac)
+  double prev;  ///< gain * frac
+};
+
+/// Adds the taps to `out` in gather form: for every output m in [0, n_out)
+/// and every tap in order,
+///   out[m] = (out[m] + prev * x[m - delay - 1]) + now * x[m - delay],
+/// a term dropping out where its x index leaves [0, n_x). That is the
+/// per-output operation order of the scatter loop
+///   for n: out[n + delay] += now * x[n]; out[n + delay + 1] += prev * x[n]
+/// run tap after tap, so the result bits are the same; the gather form
+/// vectorizes across outputs and walks `out` in L1-sized blocks, each
+/// visited by every tap before moving on. The caller guarantees
+/// delay + n_x < n_out for every tap.
+void delay_taps(const DelayTap* taps, std::size_t n_taps, const double* x,
+                std::size_t n_x, double* out, std::size_t n_out);
+
 /// Serial-order reductions — the one accumulation implementation behind the
 /// energy()/rms() wrappers in dsp/correlate.hpp. Identical on every ISA by
 /// construction (never widened; see the header comment).

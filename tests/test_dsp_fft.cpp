@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -158,6 +159,21 @@ TEST(FftPlan, InverseRoundTripInPlace) {
   plan.inverse(y.data());
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-10);
+}
+
+TEST(FftPlan, InverseBitreversedEqualsInverseOfPermutedInput) {
+  common::Rng rng(14);
+  for (std::size_t n = 2; n <= (std::size_t{1} << 17); n <<= 1) {
+    cvec x(n);
+    for (auto& v : x) v = rng.complex_gaussian();
+    const FftPlan& plan = fft_plan(n);
+    cvec natural = x;
+    plan.inverse(natural.data());
+    cvec permuted(n);
+    for (std::size_t k = 0; k < n; ++k) permuted[plan.bitrev(k)] = x[k];
+    plan.inverse_bitreversed(permuted.data());
+    ASSERT_EQ(std::memcmp(natural.data(), permuted.data(), n * sizeof(cplx)), 0) << n;
+  }
 }
 
 TEST(FftReal, MatchesComplexFftAcrossSizes) {

@@ -1,15 +1,20 @@
 // Error paths the sanitizer CI now exercises end to end: Config parsing
-// rejections and frame::parse_checked structural bounds. Every rejection
+// rejections, frame::parse_checked structural bounds, AdaptConfig and
+// waveform-channel / noise-synthesis inputs. Every rejection
 // here must classify cleanly — never read past a buffer, never accept a
 // half-parsed value.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "channel/noise.hpp"
+#include "channel/waveform_channel.hpp"
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "net/frame.hpp"
 #include "net/mac.hpp"
 #include "net/mcs/adapt.hpp"
@@ -266,6 +271,99 @@ TEST(AdaptConfigNegative, BoundaryValuesAccepted) {
   EXPECT_NO_THROW(reader.enable_mcs(ladder, cfg));
   EXPECT_TRUE(reader.mcs_enabled());
   EXPECT_NO_THROW(net::mcs::validate(net::mcs::AdaptConfig{}));
+}
+
+// ------------------------------------------------------- WaveformChannel --
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A channel whose one tap is `tap`, under `amp_m` of surface swell.
+channel::WaveformChannelConfig swell_config(channel::PathTap tap, double amp_m) {
+  channel::WaveformChannelConfig cfg;
+  cfg.add_noise = false;
+  cfg.taps = {tap};
+  cfg.surface_wave_amplitude_m = amp_m;
+  return cfg;
+}
+
+void expect_channel_rejected(const channel::WaveformChannelConfig& cfg,
+                             const std::string& what) {
+  common::Rng rng(1);
+  try {
+    const channel::WaveformChannel ch(cfg, rng);
+    ADD_FAILURE() << "WaveformChannel accepted bad " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(WaveformChannelNegative, DeepBreathingTapStaysInBounds) {
+  // 10 bounces under 1 m of swell swing the delay by +/-13.3 ms: past the
+  // old six-bounce headroom, which wrote beyond the output buffer.
+  const auto cfg = swell_config({1e-3 + 0.02, 0.5, 10, 0}, 1.0);
+  common::Rng rng(2);
+  const channel::WaveformChannel ch(cfg, rng);
+  const rvec tx(4000, 1.0);
+  const rvec y = ch.propagate_clean(tx);
+  const double breathe_s = 2.0 * 1.0 * 10.0 / cfg.sound_speed_mps;
+  EXPECT_EQ(y.size(), tx.size() + static_cast<std::size_t>(std::ceil(
+                                      (ch.max_delay_s() + breathe_s) * cfg.fs_hz)) +
+                          2);
+  for (const double v : y) ASSERT_TRUE(std::isfinite(v));
+}
+
+TEST(WaveformChannelNegative, ShallowTapsKeepTheirOutputLength) {
+  // Up to six bounces the headroom, and so every existing output length,
+  // is unchanged.
+  const auto cfg = swell_config({0.02, 0.5, 3, 0}, 0.5);
+  common::Rng rng(2);
+  const channel::WaveformChannel ch(cfg, rng);
+  const rvec tx(1000, 1.0);
+  const double breathe_s = 2.0 * 0.5 * 6.0 / cfg.sound_speed_mps;
+  EXPECT_EQ(ch.propagate_clean(tx).size(),
+            tx.size() + static_cast<std::size_t>(
+                            std::ceil((0.02 + breathe_s) * cfg.fs_hz)) + 2);
+}
+
+TEST(WaveformChannelNegative, DelayBreathingBelowZeroRejected) {
+  // 1 ms of delay cannot absorb a +/-13.3 ms swing.
+  expect_channel_rejected(swell_config({1e-3, 0.5, 10, 0}, 1.0), "tap delay");
+  // Nor a fixed tap a negative or non-finite delay.
+  for (const double bad : {-1e-6, kNaN, kInf})
+    expect_channel_rejected(swell_config({bad, 0.5, 0, 0}, 0.0), "tap delay");
+}
+
+TEST(WaveformChannelNegative, BadSwellRejected) {
+  for (const double bad : {-0.1, kNaN, kInf})
+    expect_channel_rejected(swell_config({0.02, 0.5, 1, 0}, bad),
+                            "surface wave amplitude");
+  for (const double bad : {-5.0, 0.0, kNaN, kInf}) {
+    auto cfg = swell_config({0.02, 0.5, 1, 0}, 0.1);
+    cfg.surface_wave_period_s = bad;
+    expect_channel_rejected(cfg, "surface wave period");
+  }
+}
+
+TEST(WaveformChannelNegative, NonFiniteRatesRejected) {
+  for (const double bad : {0.0, -1.0, kNaN, kInf}) {
+    auto cfg = swell_config({0.02, 0.5, 0, 0}, 0.0);
+    cfg.fs_hz = bad;
+    expect_channel_rejected(cfg, "sample rate");
+    cfg = swell_config({0.02, 0.5, 0, 0}, 0.0);
+    cfg.sound_speed_mps = bad;
+    expect_channel_rejected(cfg, "sound speed");
+  }
+}
+
+TEST(NoiseSynthesisNegative, NonFiniteSampleRateRejected) {
+  // NaN used to pass the `fs <= 0` check and miss the sigma cache forever.
+  for (const double bad : {0.0, -1.0, kNaN, kInf}) {
+    common::Rng rng(3);
+    EXPECT_THROW(channel::synthesize_ambient_noise(64, common::SampleRateHz{bad},
+                                                   channel::NoiseConditions{}, rng),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // is identical bits, not tolerable error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -244,6 +245,31 @@ TEST_F(SimdKernels, EnergyAndRmsShareTheSerialReduction) {
     EXPECT_EQ(re, dsp::energy(r)) << "n=" << n;
     EXPECT_EQ(ce, dsp::simd::sum_norms(c.data(), c.size()));
     EXPECT_EQ(re, dsp::simd::sum_squares(r.data(), r.size()));
+  }
+}
+
+TEST_F(SimdKernels, DelayTapsMatchScalarAcrossTapSetsAndLengths) {
+  common::Rng rng(808);
+  for (const std::size_t n : kLengths) {
+    const rvec x = random_rvec(rng, n);
+    for (const std::size_t n_taps : {std::size_t{1}, std::size_t{3}, std::size_t{12}}) {
+      std::vector<dsp::simd::DelayTap> taps;
+      std::size_t max_delay = 0;
+      for (std::size_t p = 0; p < n_taps; ++p) {
+        const auto delay = static_cast<std::size_t>(rng.uniform_int(0, 1500));
+        taps.push_back({delay, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+        max_delay = std::max(max_delay, delay);
+      }
+      // Outputs span several 1024-sample blocks, with tails on both sides.
+      const rvec base = random_rvec(rng, n + max_delay + 2 + n % 5);
+      auto [scalar, simd] = scalar_vs_dispatched([&] {
+        rvec out = base;
+        dsp::simd::delay_taps(taps.data(), taps.size(), x.data(), x.size(), out.data(),
+                              out.size());
+        return out;
+      });
+      EXPECT_TRUE(bytes_equal(scalar, simd)) << "n=" << n << " taps=" << n_taps;
+    }
   }
 }
 
