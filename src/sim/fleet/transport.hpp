@@ -127,7 +127,7 @@ class FleetLinkTransport final : public net::LinkTransport {
 
   // Private helper in the raw interior domain (the penalty arithmetic
   // happens before any wrapping back into SnrDb).
-  // vab-tidy: allow(unit-suffix-double-param) private raw-domain helper
+  // vab-lint: allow(unit-suffix-double-param) private raw-domain helper
   Fidelity choose_fidelity(double snr_eff_db);
   WaveLink& wave_link(std::uint8_t addr);
 

@@ -31,6 +31,37 @@ TEST(ImageMethod, DirectPathFirstAndCorrect) {
   EXPECT_EQ(taps.front().bottom_bounces, 0);
 }
 
+TEST(ImageMethod, BounceDelaysMatchClosedForm) {
+  // Each boundary sequence unfolds to a straight path to a mirrored
+  // receiver, so its delay is sqrt(r^2 + dz^2) / c in closed form.
+  const double r = 150.0, zs = 5.0, zr = 10.0, depth = 20.0, c = 1500.0;
+  MultipathConfig cfg = shallow();
+  cfg.water_depth_m = depth;
+  cfg.max_order = 2;
+  struct Expected {
+    int surface, bottom;
+    double dz;
+  };
+  const Expected expected[] = {
+      {0, 0, zr - zs},              // direct
+      {1, 0, zs + zr},              // surface
+      {0, 1, 2 * depth - zs - zr},  // bottom
+      {1, 1, 2 * depth + zr - zs},  // bottom, then surface
+      {1, 1, 2 * depth - zr + zs},  // surface, then bottom
+  };
+  const auto taps = image_method_taps(common::Meters{r}, common::Meters{zs},
+                                      common::Meters{zr}, c, cfg);
+  ASSERT_EQ(taps.size(), 5u);
+  for (const auto& e : expected) {
+    const double delay = std::sqrt(r * r + e.dz * e.dz) / c;
+    bool matched = false;
+    for (const auto& t : taps)
+      matched |= t.surface_bounces == e.surface && t.bottom_bounces == e.bottom &&
+                 std::abs(t.delay_s - delay) < 1e-12;
+    EXPECT_TRUE(matched) << "s=" << e.surface << " b=" << e.bottom << " delay=" << delay;
+  }
+}
+
 TEST(ImageMethod, SurfaceBounceHasPhaseFlip) {
   const auto taps = image_method_taps(common::Meters{50.0}, common::Meters{3.0},
                         common::Meters{7.0}, 1500.0, shallow());

@@ -3,8 +3,10 @@
 
 Every fixture under tools/lint_fixtures/violating/ declares the findings it
 must produce with `// expect: <rule-id>:<count>` header comments; every file
-under conforming/ must produce none. A rule change that stops catching a
-fixture (or starts flagging clean idioms) fails here before it reaches the
+under conforming/ must produce none. On top of the counts, one exact
+diagnostic string per structural rule is pinned, so a wrong line or
+reworded advice fails here too. A rule change that stops catching a fixture
+(or starts flagging clean idioms) fails here before it reaches the
 tree-wide gate.
 """
 
@@ -13,23 +15,22 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import subprocess
 import sys
+import tempfile
 import unittest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
 
 import vab_lint  # noqa: E402
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "lint_fixtures")
+FIXTURES = os.path.join(HERE, "lint_fixtures")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([a-z0-9-]+):(\d+)")
 
 
 def fixture_files(kind: str) -> list[str]:
-    root = os.path.join(FIXTURES, kind)
-    return sorted(
-        os.path.join(root, name) for name in os.listdir(root)
-        if name.endswith(vab_lint.CXX_EXTENSIONS))
+    return vab_lint.collect_sources([os.path.join(FIXTURES, kind)])
 
 
 def expected_findings(path: str) -> dict[str, int]:
@@ -52,11 +53,11 @@ class ViolatingFixtures(unittest.TestCase):
             expected = expected_findings(path)
             if not expected:  # e.g. the self-containment fixture
                 continue
-            with self.subTest(fixture=os.path.basename(path)):
+            with self.subTest(fixture=os.path.relpath(path, FIXTURES)):
                 actual = count_by_rule(vab_lint.lint_file(path))
                 self.assertEqual(actual, expected)
             checked += 1
-        self.assertGreaterEqual(checked, 8, "violating fixture set shrank")
+        self.assertGreaterEqual(checked, 19, "violating fixture set shrank")
 
     def test_every_rule_has_a_violating_fixture(self):
         covered = set()
@@ -69,7 +70,7 @@ class ViolatingFixtures(unittest.TestCase):
 class ConformingFixtures(unittest.TestCase):
     def test_no_false_positives(self):
         for path in fixture_files("conforming"):
-            with self.subTest(fixture=os.path.basename(path)):
+            with self.subTest(fixture=os.path.relpath(path, FIXTURES)):
                 self.assertEqual(
                     [f.format() for f in vab_lint.lint_file(path)], [])
 
@@ -104,7 +105,6 @@ class Annotations(unittest.TestCase):
 
     def test_skip_file(self):
         text = '// vab-lint: skip-file\nint f() { return rand(); }\n'
-        import tempfile
         with tempfile.NamedTemporaryFile("w", suffix=".cpp", delete=False) as fh:
             fh.write(text)
             path = fh.name
@@ -131,21 +131,114 @@ class CommentAndStringBlanking(unittest.TestCase):
         self.assertEqual(blanked.count("\n"), text.count("\n"))
 
 
-class RuleDetails(unittest.TestCase):
-    # The rng-child-discipline and no-unordered-iter detail tests moved to
-    # tools/test_vab_tidy.py when those rules were retired in favor of the
-    # structural vab-tidy checks (rng-parallel-capture and
-    # unordered-iter-accumulate); this guard keeps them retired.
-    def test_retired_rules_stay_retired(self):
-        for retired in ("no-unordered-iter", "rng-child-discipline"):
-            self.assertNotIn(retired, vab_lint.RULE_IDS)
+class ExactDiagnostics(unittest.TestCase):
+    """One pinned diagnostic per structural rule: the full path:line/message
+    contract."""
 
-    def test_retired_hazards_covered_by_vab_tidy(self):
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "vab_tidy"))
-        import vab_tidy  # noqa: E402
-        self.assertIn("rng-parallel-capture", vab_tidy.CHECKS)
-        self.assertIn("unordered-iter-accumulate", vab_tidy.CHECKS)
+    def _findings(self, *rel: str) -> tuple[str, list[str]]:
+        path = os.path.join(FIXTURES, "violating", *rel)
+        return path, [f.format() for f in vab_lint.lint_file(path)]
+
+    def test_unit_param_diagnostic(self):
+        path, findings = self._findings("unit_params.hpp")
+        self.assertIn(
+            f"{path}:14: [unit-suffix-double-param] parameter 'range_m' is "
+            "a raw double carrying a unit suffix; take common::Meters (see "
+            "common/units.hpp) so callers cannot pass the wrong domain",
+            findings)
+
+    def test_rng_capture_diagnostic(self):
+        path, findings = self._findings("rng_capture.cpp")
+        self.assertIn(
+            f"{path}:11: [rng-parallel-capture] 'rng.uniform()' draws from "
+            "a captured Rng inside a parallel body; derive a per-index "
+            "stream with 'rng.child(i)' so draw order cannot depend on "
+            "scheduling",
+            findings)
+
+    def test_unordered_diagnostic(self):
+        path, findings = self._findings("unordered_accumulate.cpp")
+        self.assertIn(
+            f"{path}:13: [unordered-iter-accumulate] iteration over "
+            "unordered container 'weights' feeds an accumulation or output "
+            "in hash order; sort the keys (or the results) before they "
+            "reach any reduction or stream",
+            findings)
+
+    def test_layering_diagnostic(self):
+        path, findings = self._findings("layering", "src", "dsp",
+                                        "uses_phy.hpp")
+        self.assertIn(
+            f"{path}:4: [layering] downward include: 'dsp' (rank 1) may not "
+            "include 'phy' (rank 2); dependencies must point strictly down "
+            "the layer diagram",
+            findings)
+
+
+class LayeringModel(unittest.TestCase):
+    def test_rank_table_matches_design(self):
+        self.assertEqual(vab_lint.MODULE_RANKS["common"], 0)
+        self.assertEqual(vab_lint.SINK_MODULES, {"obs"})
+        for mod in ("dsp", "fault", "piezo", "vanatta"):
+            self.assertEqual(vab_lint.MODULE_RANKS[mod], 1)
+        self.assertLess(vab_lint.MODULE_RANKS["phy"],
+                        vab_lint.MODULE_RANKS["net"])
+        self.assertLess(vab_lint.MODULE_RANKS["sim"],
+                        vab_lint.MODULE_RANKS["core"])
+
+    def test_cycle_detected(self):
+        root = os.path.join(FIXTURES, "violating", "cycle", "src")
+        findings = vab_lint.lint_files(vab_lint.collect_sources([root]))
+        formatted = [f.format() for f in findings]
+        self.assertTrue(any("module cycle detected" in f for f in formatted),
+                        formatted)
+
+
+class Allowlist(unittest.TestCase):
+    def test_grandfathered_header_skips_unit_check_only(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            hdr = os.path.join(tmp, "legacy.hpp")
+            with open(hdr, "w", encoding="utf-8") as fh:
+                fh.write("#pragma once\nvoid f(double gain_db);\n")
+            self.assertEqual(
+                vab_lint.lint_files([hdr], allowlist={hdr: "test"}), [])
+            findings = vab_lint.lint_files([hdr], allowlist={})
+            self.assertEqual([f.rule for f in findings],
+                             ["unit-suffix-double-param"])
+
+    def test_repo_allowlist_entries_still_exist(self):
+        """Every grandfathered path must still be a real header: stale
+        entries hide nothing but rot the debt ledger."""
+        allowlist = vab_lint.load_allowlist()
+        self.assertTrue(allowlist)
+        for path, reason in allowlist.items():
+            self.assertTrue(os.path.exists(path), f"stale allowlist: {path}")
+            self.assertTrue(reason, f"allowlist entry needs a reason: {path}")
+
+
+class TreeGate(unittest.TestCase):
+    """The tree gate must not depend on how the root is spelled: allowlist
+    and module lookups resolve absolute paths, so `src` from the repo root,
+    `../src` from tools/ and an absolute path give the same clean result."""
+
+    def test_same_result_for_relative_and_absolute_roots(self):
+        repo = os.path.dirname(HERE)
+        script = os.path.join(HERE, "vab_lint.py")
+        outputs = []
+        for cwd, root in ((repo, "src"), (HERE, os.path.join("..", "src")),
+                          (HERE, os.path.join(repo, "src"))):
+            proc = subprocess.run([sys.executable, script, root], cwd=cwd,
+                                  capture_output=True, text=True, check=False)
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            outputs.append(proc.stdout)
+        self.assertTrue(outputs[0].endswith(", 0 finding(s)\n"), outputs[0])
+        self.assertEqual(outputs[1], outputs[0])
+        self.assertEqual(outputs[2], outputs[0])
+        # The clean result is the allowlist at work, not an idle rule.
+        ungated = vab_lint.lint_files(
+            vab_lint.collect_sources([os.path.join(repo, "src")]),
+            allowlist={})
+        self.assertIn("unit-suffix-double-param", count_by_rule(ungated))
 
 
 @unittest.skipIf(shutil.which(os.environ.get("CXX", "g++")) is None,

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""vab_lint: domain linter for determinism discipline and include hygiene.
+"""vab_lint: domain static analyzer for determinism, typed-unit boundaries,
+module layering and include hygiene.
 
 The repro's core guarantee is that every seeded experiment is bit-identical
 across thread counts and feature toggles. The golden-pin and multi-thread
-suites enforce that *dynamically*; this linter enforces the hazard classes
+suites enforce that *dynamically*; this analyzer enforces the hazard classes
 *statically*, so a PR that reintroduces one fails CI before anyone has to
 debug a golden re-pin.
 
 Rules (suppress a deliberate use with `// vab-lint: allow(<rule-id>)` on the
-same or the preceding line; annotate *why* next to it):
+same or the preceding line; annotate *why* next to it; a file containing
+`// vab-lint: skip-file` is not analysed at all):
 
   no-libc-rand          rand()/srand()/rand_r(): process-global hidden state,
                         not seedable per trial. Use common::Rng.
@@ -34,16 +36,29 @@ same or the preceding line; annotate *why* next to it):
                         src/dsp/simd/: ISA-specific code must sit behind the
                         runtime dispatch layer, where the scalar-vs-SIMD
                         bit-identity suite covers it.
-
-Retired rules (superseded by the structural analyzer tools/vab_tidy/, which
-owns these hazard classes with body-aware matching; run it via the
-`vab-tidy` build target or the VabTidy.* ctests):
-
-  no-unordered-iter     -> vab-tidy check `unordered-iter-accumulate`
-  rng-child-discipline  -> vab-tidy check `rng-parallel-capture`
+  unit-suffix-double-param
+                        headers must not declare raw `double` function
+                        parameters whose names carry a unit suffix (*_db,
+                        *_hz, *_m, *_s); those boundaries take the strong
+                        types from common/units.hpp. Grandfathered headers
+                        live in tools/lint_allowlist.txt with a reason.
+  rng-parallel-capture  an Rng captured into a parallel_for/parallel_reduce
+                        body must only be used through .child(...); direct
+                        draws make the draw order depend on scheduling.
+  unordered-iter-accumulate
+                        iterating a std::unordered_* container is flagged
+                        only when the loop body accumulates or emits output
+                        (the hash order would leak into results); pure
+                        lookups and counting stay legal.
+  layering              the module DAG is enforced from the real `#include`
+                        edges: a module may include only lower-ranked
+                        modules (obs is an include-anywhere sink), and no
+                        cycle may appear. A file's module is the directory
+                        after the last `src/` of its absolute path.
+  self-contained        (--self-contained only) each header compiles alone.
 
 Modes:
-  vab_lint.py <root>...                 lint sources under the roots
+  vab_lint.py <root>...                 analyse sources under the roots
   vab_lint.py --self-contained <root>   additionally compile each header in
                                         isolation (g++ -fsyntax-only) to
                                         prove self-containment
@@ -70,6 +85,9 @@ HEADER_EXTENSIONS = (".hpp", ".hh", ".h")
 ALLOW_RE = re.compile(r"//\s*vab-lint:\s*allow\(([a-z0-9-]+)\)")
 SKIP_FILE_RE = re.compile(r"//\s*vab-lint:\s*skip-file")
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALLOWLIST_PATH = os.path.join(REPO_ROOT, "tools", "lint_allowlist.txt")
+
 
 @dataclass
 class Finding:
@@ -90,6 +108,9 @@ class SourceFile:
 
     path: str
     raw: str
+    # Rules allowed on every line (whole-file grandfathering from the
+    # allowlist), on top of the per-line annotations.
+    file_allows: frozenset[str] = frozenset()
     code: str = field(init=False)
     raw_lines: list[str] = field(init=False)
     code_lines: list[str] = field(init=False)
@@ -111,8 +132,18 @@ class SourceFile:
     def is_header(self) -> bool:
         return self.path.endswith(HEADER_EXTENSIONS)
 
+    @property
+    def module(self) -> str | None:
+        """The directory after the last `src` component of the absolute
+        path (…/src/phy/modem.cpp -> "phy"); None outside a src/ tree."""
+        dirs = os.path.dirname(os.path.abspath(self.path)).split(os.sep)
+        if "src" not in dirs:
+            return None
+        last = len(dirs) - 1 - dirs[::-1].index("src")
+        return dirs[last + 1] if last + 1 < len(dirs) else None
+
     def is_allowed(self, line: int, rule: str) -> bool:
-        return rule in self.allowed.get(line, set())
+        return rule in self.file_allows or rule in self.allowed.get(line, ())
 
     def line_of(self, offset: int) -> int:
         return self.code.count("\n", 0, offset) + 1
@@ -190,6 +221,20 @@ def match_findings(src: SourceFile, rule: str, pattern: re.Pattern,
     return found
 
 
+def extract_balanced(text: str, open_idx: int, open_ch: str,
+                     close_ch: str) -> int:
+    """Index of the closer matching the opener at open_idx, or -1."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
 # --- nondeterminism bans ----------------------------------------------------
 
 LIBC_RAND_RE = re.compile(
@@ -212,9 +257,9 @@ WALLCLOCK_RE = re.compile(
     r"\bhigh_resolution_clock\b|\bgettimeofday\b|(?<![\w:.])time\s*\(\s*(?:nullptr|NULL|0)\s*\)")
 
 # Paths (relative, slash-normalized) where wall-clock reads are legitimate:
-# the observability layer exists to measure real time, the logger stamps it,
-# and the thread pool parks workers on real-time waits.
-WALLCLOCK_ALLOWED_PARTS = ("obs/", "common/log", "common/parallel")
+# the observability layer exists to measure real time, and the thread pool
+# parks workers on real-time waits.
+WALLCLOCK_ALLOWED_PARTS = ("obs/", "common/parallel")
 
 
 def rule_no_libc_rand(src: SourceFile) -> list[Finding]:
@@ -286,24 +331,297 @@ def rule_simd_intrinsics_confined(src: SourceFile) -> list[Finding]:
         "dsp::simd kernels so every ISA stays behind the bit-identity gate")
 
 
-# --- retired rules ----------------------------------------------------------
-#
-# rule_no_unordered_iter (retired 2026-08-08): superseded by the vab-tidy
-# check `unordered-iter-accumulate` (tools/vab_tidy/vab_tidy.py), which
-# inspects the loop *body* and only flags iteration whose hash order can
-# reach an accumulation or output stream — this regex rule flagged every
-# iteration and forced annotations onto order-independent loops.
-#
-# rule_rng_child_discipline (retired 2026-08-08): superseded by the vab-tidy
-# check `rng-parallel-capture`, which distinguishes lambda captures from
-# lambda parameters and body-locals structurally instead of by token
-# adjacency. The fixtures moved to tools/vab_tidy/fixtures/.
+# --- typed-unit boundaries --------------------------------------------------
+
+UNIT_SUFFIX_RE = re.compile(r"_(?:db|hz|m|s)$")
+DOUBLE_PARAM_RE = re.compile(r"\bdouble\s+(\w+)")
 
 
-# --- include hygiene --------------------------------------------------------
+def rule_unit_suffix_double_param(src: SourceFile) -> list[Finding]:
+    """Flags `double name_db/_hz/_m/_s` in *parameter* position in headers.
+
+    A declaration terminated by `;` or `}` before any `,`/`)` at its own
+    nesting level is a field or local (raw storage stays legal: structs of
+    plain numbers are the serialization/config layer); one terminated by
+    `,` or `)` sits in a parameter list and must take a strong unit type.
+    """
+    if not src.is_header:
+        return []
+    found = []
+    for m in DOUBLE_PARAM_RE.finditer(src.code):
+        name = m.group(1)
+        if not UNIT_SUFFIX_RE.search(name):
+            continue
+        i, n = m.end(), len(src.code)
+        depth = 0
+        terminator = ""
+        while i < n:
+            ch = src.code[i]
+            if ch in "([{<":
+                depth += 1
+            elif ch in ")]}>":
+                if depth == 0:
+                    terminator = ch
+                    break
+                depth -= 1
+            elif depth == 0 and ch in ";,":
+                terminator = ch
+                break
+            i += 1
+        if terminator not in (",", ")"):
+            continue  # field, local, or array declaration
+        line = src.line_of(m.start())
+        if src.is_allowed(line, "unit-suffix-double-param"):
+            continue
+        unit = {"db": "Db/SnrDb", "hz": "Hz", "m": "Meters",
+                "s": "Seconds"}[UNIT_SUFFIX_RE.search(name).group(0)[1:]]
+        found.append(Finding(
+            src.path, line, "unit-suffix-double-param",
+            f"parameter '{name}' is a raw double carrying a unit suffix; "
+            f"take common::{unit} (see common/units.hpp) so callers cannot "
+            "pass the wrong domain"))
+    return found
+
+
+# --- parallel Rng discipline ------------------------------------------------
+
+DRAW_METHODS = (
+    "uniform", "uniform_int", "gaussian", "complex_gaussian", "coin",
+    "random_bits", "gaussian_vector", "engine",
+)
+PARALLEL_CALL_RE = re.compile(r"\bparallel_(?:for|reduce)\s*(?:<[^;{}]*?>)?\s*\(")
+LAMBDA_RE = re.compile(r"\[([^\]\n]*)\]\s*\(([^)]*)\)")
+DRAW_RE = re.compile(
+    r"\b(\w+)\s*(?:\.|->)\s*(" + "|".join(DRAW_METHODS) + r")\s*\(")
+CHILD_LOCAL_RE = re.compile(
+    r"\b(?:auto|Rng|common::Rng)\s*&?\s+(\w+)\s*=\s*[\w.\->:]+\.child\s*\(")
+
+
+def rule_rng_parallel_capture(src: SourceFile) -> list[Finding]:
+    """Flags draws from a captured Rng inside parallel_for/parallel_reduce
+    lambda bodies. Legal uses: `rng.child(i)` itself (deriving the per-index
+    stream), draws from a lambda parameter, and draws from an Rng declared
+    inside the body via `.child(...)`."""
+    found = []
+    for call in PARALLEL_CALL_RE.finditer(src.code):
+        open_paren = src.code.index("(", call.end() - 1)
+        close_paren = extract_balanced(src.code, open_paren, "(", ")")
+        if close_paren < 0:
+            continue
+        args = src.code[open_paren:close_paren + 1]
+        for lam in LAMBDA_RE.finditer(args):
+            captures = lam.group(1)
+            params = {p.split()[-1].lstrip("&*")
+                      for p in lam.group(2).split(",") if p.strip()}
+            body_open = args.find("{", lam.end())
+            if body_open < 0:
+                continue
+            body_close = extract_balanced(args, body_open, "{", "}")
+            if body_close < 0:
+                continue
+            body = args[body_open:body_close + 1]
+            capture_default = "&" in captures or "=" in captures
+            explicit = {c.strip().lstrip("&*")
+                        for c in captures.split(",") if c.strip()}
+            local = set(CHILD_LOCAL_RE.findall(body)) | params
+            for draw in DRAW_RE.finditer(body):
+                name, method = draw.group(1), draw.group(2)
+                if name in local:
+                    continue
+                if not (capture_default or name in explicit):
+                    continue
+                line = src.line_of(open_paren + body_open + draw.start())
+                if src.is_allowed(line, "rng-parallel-capture"):
+                    continue
+                found.append(Finding(
+                    src.path, line, "rng-parallel-capture",
+                    f"'{name}.{method}()' draws from a captured Rng inside a "
+                    "parallel body; derive a per-index stream with "
+                    f"'{name}.child(i)' so draw order cannot depend on "
+                    "scheduling"))
+    return found
+
+
+# --- hash-order leaks -------------------------------------------------------
+
+ACCUMULATE_RE = re.compile(
+    r"(?:\+=|\|=|\^=|<<|\bpush_back\s*\(|\bemplace_back\s*\(|"
+    r"\bappend\s*\(|\binsert\s*\(|\bemplace\s*\()")
+UNORDERED_DECL_RE = re.compile(
+    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*?>\s*&?\s*(\w+)")
+RANGE_FOR_RE = re.compile(
+    r"\bfor\s*\(\s*(?:const\s+)?[\w:<>,&*\s\[\]]+?:\s*(\w+)\s*\)")
+ITER_LOOP_RE = re.compile(r"=\s*(\w+)\s*\.\s*(?:begin|cbegin)\s*\(")
+
+
+def rule_unordered_iter_accumulate(src: SourceFile) -> list[Finding]:
+    """Flags iteration over std::unordered_* containers whose loop body
+    accumulates or emits (the hash order reaches a result); bodies that only
+    count or look up stay legal."""
+    unordered_names = set(UNORDERED_DECL_RE.findall(src.code))
+    if not unordered_names:
+        return []
+    found = []
+    for pattern in (RANGE_FOR_RE, ITER_LOOP_RE):
+        for m in pattern.finditer(src.code):
+            name = m.group(1)
+            if name not in unordered_names:
+                continue
+            scan = m.end()
+            if pattern is ITER_LOOP_RE:
+                # `it = c.begin()` sits inside a for/while header; the body
+                # starts after the header's closing paren, not after the
+                # init clause's `;`.
+                header = None
+                for f in re.finditer(r"\b(?:for|while)\s*\(",
+                                     src.code[:m.start()]):
+                    header = f
+                if header is None:
+                    continue
+                header_close = extract_balanced(src.code, header.end() - 1,
+                                                "(", ")")
+                if header_close < m.start():
+                    continue
+                scan = header_close + 1
+            body_open = src.code.find("{", scan)
+            stmt_end = src.code.find(";", scan)
+            if body_open < 0 or (0 <= stmt_end < body_open):
+                body = src.code[scan:stmt_end + 1 if stmt_end >= 0
+                                else len(src.code)]
+            else:
+                body_close = extract_balanced(src.code, body_open, "{", "}")
+                if body_close < 0:
+                    continue
+                body = src.code[body_open:body_close + 1]
+            if not ACCUMULATE_RE.search(body):
+                continue
+            line = src.line_of(m.start())
+            if src.is_allowed(line, "unordered-iter-accumulate"):
+                continue
+            found.append(Finding(
+                src.path, line, "unordered-iter-accumulate",
+                f"iteration over unordered container '{name}' feeds an "
+                "accumulation or output in hash order; sort the keys (or "
+                "the results) before they reach any reduction or stream"))
+    return found
+
+
+# --- module layering --------------------------------------------------------
+
+#: Module ranks for the layering DAG. An `#include "mod/..."` edge from
+#: module A to module B is legal iff A == B, B is a sink, or
+#: rank(A) > rank(B). Ranks mirror DESIGN.md's layer diagram.
+MODULE_RANKS = {
+    "common": 0,
+    "dsp": 1,
+    "fault": 1,
+    "piezo": 1,
+    "vanatta": 1,
+    "channel": 2,
+    "phy": 2,
+    "net": 3,
+    "sim": 4,
+    "core": 5,
+}
+
+#: Modules any layer (including common) may include, and which may include
+#: nothing outside themselves: pure observability sinks.
+SINK_MODULES = {"obs"}
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"])([^">]+)[">]', re.MULTILINE)
 
+
+def include_edges(src: SourceFile) -> list[tuple[str, int]]:
+    """(target module, line) for each quoted include that leaves the file's
+    module. Quoted include paths are rooted at src/ ("phy/modem.hpp"), so
+    the first segment names the module; unknown names surface as findings
+    rather than silently passing. Scanned in the raw text: comment/string
+    blanking erases the include target."""
+    mod = src.module
+    if mod is None:
+        return []
+    edges = []
+    for m in INCLUDE_RE.finditer(src.raw):
+        parts = m.group(2).split("/")
+        if m.group(1) != '"' or len(parts) < 2:
+            continue
+        target = parts[0]
+        if target != mod:
+            edges.append((target, src.raw.count("\n", 0, m.start()) + 1))
+    return edges
+
+
+def rule_layering(src: SourceFile) -> list[Finding]:
+    """Validates every cross-module include edge against MODULE_RANKS."""
+    mod = src.module
+    found = []
+    for target, line in include_edges(src):
+        if target in SINK_MODULES:
+            continue
+        if mod in SINK_MODULES:
+            if not src.is_allowed(line, "layering"):
+                found.append(Finding(
+                    src.path, line, "layering",
+                    f"sink module '{mod}' must not include '{target}': obs "
+                    "is observable from every layer precisely because it "
+                    "depends on none of them"))
+            continue
+        if mod not in MODULE_RANKS or target not in MODULE_RANKS:
+            found.append(Finding(
+                src.path, line, "layering",
+                f"unknown module in edge '{mod}' -> '{target}'; add it "
+                "to MODULE_RANKS in tools/vab_lint.py"))
+            continue
+        if MODULE_RANKS[mod] <= MODULE_RANKS[target]:
+            if not src.is_allowed(line, "layering"):
+                found.append(Finding(
+                    src.path, line, "layering",
+                    f"downward include: '{mod}' (rank {MODULE_RANKS[mod]}) "
+                    f"may not include '{target}' (rank "
+                    f"{MODULE_RANKS[target]}); dependencies must point "
+                    "strictly down the layer diagram"))
+    return found
+
+
+def check_module_cycles(sources: list[SourceFile]) -> list[Finding]:
+    """Rejects a cycle in the module graph observed across all sources (a
+    cycle can exist even when each individual edge would pass a weaker
+    same-rank rule). Reports the first cycle found."""
+    edges: dict[tuple[str, str], tuple[str, int]] = {}
+    for src in sources:
+        for target, line in include_edges(src):
+            edges.setdefault((src.module, target), (src.path, line))
+    graph: dict[str, set[str]] = {}
+    for a, b in edges:
+        graph.setdefault(a, set()).add(b)
+    state: dict[str, int] = {}
+    stack: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        state[node] = 1
+        stack.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt, 0) == 1:
+                return stack[stack.index(nxt):] + [nxt]
+            if state.get(nxt, 0) == 0:
+                cycle = visit(nxt)
+                if cycle:
+                    return cycle
+        stack.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if state.get(node, 0) == 0:
+            cycle = visit(node)
+            if cycle:
+                path, line = edges[(cycle[0], cycle[1])]
+                return [Finding(path, line, "layering",
+                                "module cycle detected: " + " -> ".join(cycle))]
+    return []
+
+
+# --- include hygiene --------------------------------------------------------
 
 def rule_pragma_once(src: SourceFile) -> list[Finding]:
     if not src.is_header:
@@ -370,33 +688,76 @@ RULES = [
     rule_own_header_first,
     rule_no_using_namespace,
     rule_simd_intrinsics_confined,
+    rule_unit_suffix_double_param,
+    rule_rng_parallel_capture,
+    rule_unordered_iter_accumulate,
+    rule_layering,
 ]
 
 RULE_IDS = [
     "no-libc-rand", "no-random-device", "no-time-seeded-rng",
     "no-pointer-key-order", "no-wallclock", "pragma-once",
     "own-header-first", "no-using-namespace", "simd-intrinsics-confined",
+    "unit-suffix-double-param", "rng-parallel-capture",
+    "unordered-iter-accumulate", "layering",
 ]
 
 
-def lint_file(path: str) -> list[Finding]:
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        raw = fh.read()
-    if SKIP_FILE_RE.search(raw):
-        return []
-    src = SourceFile(path, raw)
+# --- entry points -----------------------------------------------------------
+
+def load_allowlist() -> dict[str, str]:
+    """lint_allowlist.txt: `<repo-relative header> :: <reason>` per line,
+    keyed here by absolute path. The listed headers are exempt from
+    unit-suffix-double-param only."""
+    grandfathered: dict[str, str] = {}
+    with open(ALLOWLIST_PATH, encoding="utf-8") as fh:
+        for raw in fh:
+            raw = raw.strip()
+            if not raw or raw.startswith("#"):
+                continue
+            rel, _, reason = raw.partition("::")
+            grandfathered[os.path.normpath(
+                os.path.join(REPO_ROOT, rel.strip()))] = reason.strip()
+    return grandfathered
+
+
+def lint_source(src: SourceFile) -> list[Finding]:
     findings = []
     seen = set()
     for rule in RULES:
         for finding in rule(src):
-            # One report per (line, rule): a single hazardous statement often
-            # trips several sub-patterns of the same rule.
-            key = (finding.line, finding.rule)
+            # One report per (line, rule, message): a single hazardous
+            # statement often trips several sub-patterns of the same rule.
+            key = (finding.line, finding.rule, finding.message)
             if key not in seen:
                 seen.add(key)
                 findings.append(finding)
-    findings.sort(key=lambda f: (f.line, f.rule))
     return findings
+
+
+def lint_files(paths: list[str],
+               allowlist: dict[str, str] | None = None) -> list[Finding]:
+    """Every rule over each file, plus the module-cycle check across all of
+    them. `allowlist` defaults to tools/lint_allowlist.txt."""
+    if allowlist is None:
+        allowlist = load_allowlist()
+    sources = []
+    for path in paths:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            raw = fh.read()
+        if SKIP_FILE_RE.search(raw):
+            continue
+        allows = (frozenset({"unit-suffix-double-param"})
+                  if os.path.abspath(path) in allowlist else frozenset())
+        sources.append(SourceFile(path, raw, allows))
+    findings = [f for src in sources for f in lint_source(src)]
+    findings += check_module_cycles(sources)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings
+
+
+def lint_file(path: str) -> list[Finding]:
+    return lint_files([path])
 
 
 def collect_sources(roots: list[str]) -> list[str]:
@@ -446,13 +807,13 @@ def check_self_contained(headers: list[str], include_dirs: list[str],
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="determinism/hygiene linter for the vab tree")
+        description="determinism/units/layering/hygiene analyzer for the "
+                    "vab tree")
     parser.add_argument("roots", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--self-contained", action="store_true",
-                        help="also compile every header in isolation")
-    parser.add_argument("--include-dir", action="append", default=[],
-                        help="extra -I for --self-contained (default: each root)")
+                        help="also compile every header in isolation, with "
+                             "each directory root as an include dir")
     parser.add_argument("--cxx", default=os.environ.get("CXX", "g++"))
     parser.add_argument("-j", "--jobs", type=int, default=os.cpu_count() or 2)
     parser.add_argument("--list-rules", action="store_true")
@@ -469,9 +830,7 @@ def main() -> int:
         print(f"vab_lint: no C++ sources under {roots}", file=sys.stderr)
         return 2
 
-    findings = []
-    for path in files:
-        findings.extend(lint_file(path))
+    findings = lint_files(files)
 
     if args.self_contained:
         if shutil.which(args.cxx) is None:
@@ -479,8 +838,7 @@ def main() -> int:
                   file=sys.stderr)
             return 2
         headers = [f for f in files if f.endswith(HEADER_EXTENSIONS)]
-        include_dirs = args.include_dir or [
-            r for r in roots if os.path.isdir(r)]
+        include_dirs = [r for r in roots if os.path.isdir(r)]
         findings.extend(check_self_contained(
             headers, include_dirs, args.cxx, args.jobs))
 
