@@ -90,6 +90,11 @@ void McsEntry::apply(phy::PhyConfig& phy, phy::FecConfig& fec_cfg) const {
   fec_cfg.enable = fec;
 }
 
+const McsEntry& paper_rung() {
+  static const McsEntry entry{"fm0-500", 500.0, phy::UplinkCode::kFm0, false};
+  return entry;
+}
+
 // Per-ladder table of sustain thresholds, one entry per (target,
 // payload_bits) seen. A deque keeps handed-out references stable as
 // entries are appended.
@@ -129,7 +134,7 @@ McsLadder McsLadder::default_ladder() {
   rungs.push_back({"m4-125-fec", 125.0, phy::UplinkCode::kMiller4, true});
   rungs.push_back({"m2-250-fec", 250.0, phy::UplinkCode::kMiller2, true});
   rungs.push_back({"fm0-500-fec", 500.0, phy::UplinkCode::kFm0, true});
-  rungs.push_back({"fm0-500", 500.0, phy::UplinkCode::kFm0, false});
+  rungs.push_back(paper_rung());
   rungs.push_back({"fm0-1000", 1000.0, phy::UplinkCode::kFm0, false});
   rungs.push_back({"fm0-2000", 2000.0, phy::UplinkCode::kFm0, false});
   rungs.push_back({"fm0-4000", 4000.0, phy::UplinkCode::kFm0, false});

@@ -90,6 +90,12 @@ struct McsEntry {
   void apply(phy::PhyConfig& phy, phy::FecConfig& fec_cfg) const;
 };
 
+/// The paper's fixed-rate operating point (FM0, 500 bps, uncoded): the
+/// reference rung every curve's SNR is measured on, and the delivery curve
+/// of any poll with no commanded rung. default_ladder() places it at
+/// McsLadder::kPaperRung.
+const McsEntry& paper_rung();
+
 /// A validated, totally ordered rate ladder. Ordering invariants (enforced
 /// at construction, throwing std::invalid_argument):
 ///  - 1..kMaxRungs rungs;

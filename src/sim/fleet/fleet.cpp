@@ -180,14 +180,14 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
       // flat SINR penalty (withheld via set_slotted_mode) at slot
       // granularity.
       const std::vector<FleetLinkTransport::LinkInfo>& wl = transports[r]->links();
+      const net::mcs::McsEntry& paper = net::mcs::paper_rung();
       std::vector<net::anticollision::Contender> contenders_in;
       contenders_in.reserve(wl.size());
       for (std::size_t k = 0; k < wl.size(); ++k) {
         net::anticollision::Contender c;
         c.id = static_cast<std::uint16_t>(k);
         c.rx_power_rel = wl[k].snr_db.to_linear().raw();
-        c.delivery_prob =
-            FleetLinkTransport::frame_delivery_prob(wl[k].snr_db, wire_bits);
+        c.delivery_prob = paper.frame_delivery_prob(wl[k].snr_db, wire_bits);
         contenders_in.push_back(c);
       }
       common::Rng slot_rng = window_rng.child(kStreamSlotted);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "phy/ber.hpp"
 #include "phy/fec.hpp"
 
 namespace vab::sim::fleet {
@@ -38,22 +37,18 @@ FleetLinkTransport::FleetLinkTransport(const Scenario& base,
       contention_penalty_db_(contention_penalty.raw()),
       budget_(base) {
   // Waterfall SNR: where frame delivery crosses 50% for the representative
-  // wire length. frame_delivery_prob is monotone in SNR, so bisect.
+  // wire length at the paper rung. Delivery is monotone in SNR, so bisect.
+  const net::mcs::McsEntry& paper = net::mcs::paper_rung();
   double lo = -30.0, hi = 30.0;
   for (int it = 0; it < 60; ++it) {
     const double mid = 0.5 * (lo + hi);
-    if (frame_delivery_prob(common::SnrDb{mid}, report_bits) < 0.5) {
+    if (paper.frame_delivery_prob(common::SnrDb{mid}, report_bits) < 0.5) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
   waterfall_snr_db_ = 0.5 * (lo + hi);
-}
-
-double FleetLinkTransport::frame_delivery_prob(common::SnrDb snr, std::size_t bits) {
-  const double ber = phy::ber_fm0(std::pow(10.0, snr.raw() / 10.0));
-  return std::pow(1.0 - ber, static_cast<double>(bits));
 }
 
 void FleetLinkTransport::begin_window(std::vector<LinkInfo> links,
@@ -155,12 +150,10 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
     polls.add(1);
     const double fade = rng.gaussian(0.0, base_.env.fading_sigma_db);
     last_snr_db_ = common::SnrDb{snr_eff + fade};
-    const double p =
-        entry != nullptr
-            ? entry->frame_delivery_prob(common::SnrDb{snr_eff + fade},
-                                         wire.size() * 8)
-            : frame_delivery_prob(common::SnrDb{snr_eff + fade}, wire.size() * 8);
-    return rng.coin(p);
+    const net::mcs::McsEntry& curve =
+        entry != nullptr ? *entry : net::mcs::paper_rung();
+    return rng.coin(curve.frame_delivery_prob(common::SnrDb{snr_eff + fade},
+                                              wire.size() * 8));
   }
 
   ++tally_.waveform_polls;

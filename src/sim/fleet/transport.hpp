@@ -115,9 +115,6 @@ class FleetLinkTransport final : public net::LinkTransport {
   /// Active window's links with their budget SNRs (filled by begin_window).
   const std::vector<LinkInfo>& links() const { return links_; }
 
-  /// Budget chip SNR -> frame delivery probability for `bits` wire bits.
-  static double frame_delivery_prob(common::SnrDb snr, std::size_t bits);
-
  private:
   struct WaveLink {
     common::Rng rng;

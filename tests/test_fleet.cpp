@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "net/app.hpp"
 #include "net/frame.hpp"
+#include "net/mcs/mcs.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/medium.hpp"
@@ -116,30 +117,25 @@ bytes report_wire(std::uint8_t addr, std::uint8_t seq) {
 }
 
 TEST(FleetTransport, DeliveryProbMonotoneInSnrAndBits) {
-  using sim::fleet::FleetLinkTransport;
+  const net::mcs::McsEntry& paper = net::mcs::paper_rung();
   double prev = 0.0;
   for (double snr = -10.0; snr <= 20.0; snr += 1.0) {
-    const double p = FleetLinkTransport::frame_delivery_prob(common::SnrDb{snr}, 96);
+    const double p = paper.frame_delivery_prob(common::SnrDb{snr}, 96);
     EXPECT_GE(p, prev);
     prev = p;
   }
-  EXPECT_GT(FleetLinkTransport::frame_delivery_prob(common::SnrDb{5.0}, 64),
-            FleetLinkTransport::frame_delivery_prob(common::SnrDb{5.0}, 1024));
+  EXPECT_GT(paper.frame_delivery_prob(common::SnrDb{5.0}, 64),
+            paper.frame_delivery_prob(common::SnrDb{5.0}, 1024));
 }
 
 TEST(FleetTransport, WaterfallSitsAtHalfDelivery) {
   const sim::Scenario base = sim::vab_river_scenario();
   const sim::fleet::FleetLinkTransport tp(base, {}, common::Db{3.0}, 96);
   const double w = tp.waterfall_snr_db().raw();
-  EXPECT_NEAR(sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w}, 96),
-              0.5,
-              1e-6);
-  EXPECT_GT(
-      sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w + 6.0}, 96),
-      0.99);
-  EXPECT_LT(
-      sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w - 6.0}, 96),
-      0.01);
+  const net::mcs::McsEntry& paper = net::mcs::paper_rung();
+  EXPECT_NEAR(paper.frame_delivery_prob(common::SnrDb{w}, 96), 0.5, 1e-6);
+  EXPECT_GT(paper.frame_delivery_prob(common::SnrDb{w + 6.0}, 96), 0.99);
+  EXPECT_LT(paper.frame_delivery_prob(common::SnrDb{w - 6.0}, 96), 0.01);
 }
 
 TEST(FleetTransport, AdaptivePolicyEscalatesMarginalLinksUpToCap) {

@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "net/app.hpp"
 #include "net/frame.hpp"
+#include "net/mcs/mcs.hpp"
 #include "sim/fleet/transport.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
@@ -102,7 +103,7 @@ TEST(FleetFidelity, BudgetPathMatchesItsOwnAnalyticMean) {
   double expected = 0.0, weight = 0.0;
   for (double z = -4.0; z <= 4.0; z += 0.05) {
     const double w = std::exp(-0.5 * z * z);
-    expected += w * FleetLinkTransport::frame_delivery_prob(
+    expected += w * net::mcs::paper_rung().frame_delivery_prob(
                         common::SnrDb{snr + 3.0 * z}, kReportBits);
     weight += w;
   }
@@ -134,9 +135,10 @@ TEST(FleetFidelity, EscalationRegionCoversTheModelDisagreementBand) {
   const FidelityPolicy policy;  // defaults: adaptive, 2 dB margin
   const FleetLinkTransport tp(s, policy, common::Db{3.0}, kReportBits);
   const double w = tp.waterfall_snr_db().raw();
-  const double p_hi = FleetLinkTransport::frame_delivery_prob(
+  const net::mcs::McsEntry& paper = net::mcs::paper_rung();
+  const double p_hi = paper.frame_delivery_prob(
       common::SnrDb{w + policy.escalate_margin_db}, kReportBits);
-  const double p_lo = FleetLinkTransport::frame_delivery_prob(
+  const double p_lo = paper.frame_delivery_prob(
       common::SnrDb{w - policy.escalate_margin_db}, kReportBits);
   EXPECT_GT(p_hi, 0.75);  // above the margin: budget is trustworthy-good
   EXPECT_LT(p_lo, 0.25);  // below the margin: budget is trustworthy-dead

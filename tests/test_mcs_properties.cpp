@@ -27,7 +27,7 @@
 #include "net/mcs/adapt.hpp"
 #include "net/mcs/mcs.hpp"
 #include "net/mcs/transport.hpp"
-#include "sim/fleet/transport.hpp"
+#include "phy/ber.hpp"
 
 namespace vab {
 namespace {
@@ -64,17 +64,22 @@ TEST(McsEntryProperties, DataRateAppliesFecPenalty) {
 }
 
 TEST(McsEntryProperties, ReferenceRungMatchesLegacyFleetCurveBitForBit) {
-  // The paper rung (FM0, 500 bps, uncoded) must evaluate to *exactly* the
-  // expression FleetLinkTransport::frame_delivery_prob has always used —
-  // the analytic ladder may not move any legacy seeded outcome.
+  // The paper rung (FM0, 500 bps, uncoded) is the fleet's delivery curve
+  // for every poll without a commanded rung, so it must evaluate to
+  // *exactly* the legacy uncoded FM0 expression: no seeded outcome moves.
   const McsEntry& ref = ladder().rung(McsLadder::kPaperRung);
+  ASSERT_EQ(ref.name, net::mcs::paper_rung().name);
   ASSERT_EQ(ref.bitrate_bps, 500.0);
   ASSERT_FALSE(ref.fec);
   for (double snr = -20.0; snr <= 30.0; snr += 0.25) {
     for (const std::size_t bits : {48u, 96u, 176u}) {
-      EXPECT_EQ(ref.frame_delivery_prob(common::SnrDb{snr}, bits),
-                sim::fleet::FleetLinkTransport::frame_delivery_prob(
-                    common::SnrDb{snr}, bits))
+      const double legacy =
+          std::pow(1.0 - phy::ber_fm0(std::pow(10.0, snr / 10.0)),
+                   static_cast<double>(bits));
+      EXPECT_EQ(ref.frame_delivery_prob(common::SnrDb{snr}, bits), legacy)
+          << "snr=" << snr << " bits=" << bits;
+      EXPECT_EQ(net::mcs::paper_rung().frame_delivery_prob(common::SnrDb{snr}, bits),
+                legacy)
           << "snr=" << snr << " bits=" << bits;
     }
   }

@@ -55,13 +55,12 @@ same or the preceding line; annotate *why* next to it; a file containing
                         modules (obs is an include-anywhere sink), and no
                         cycle may appear. A file's module is the directory
                         after the last `src/` of its absolute path.
-  self-contained        (--self-contained only) each header compiles alone.
+
+Header self-containment is not a rule here: the build compiles every src/
+header alone (the vab_header_check target in tests/CMakeLists.txt).
 
 Modes:
   vab_lint.py <root>...                 analyse sources under the roots
-  vab_lint.py --self-contained <root>   additionally compile each header in
-                                        isolation (g++ -fsyntax-only) to
-                                        prove self-containment
   vab_lint.py --list-rules              print rule ids and exit
 
 Exit status: 0 clean, 1 findings, 2 usage/tool error.
@@ -70,13 +69,9 @@ Exit status: 0 clean, 1 findings, 2 usage/tool error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import re
-import shutil
-import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 CXX_EXTENSIONS = (".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h")
@@ -773,54 +768,17 @@ def collect_sources(roots: list[str]) -> list[str]:
     return sorted(set(files))
 
 
-# --- header self-containment (compile check) --------------------------------
-
-def check_self_contained(headers: list[str], include_dirs: list[str],
-                         cxx: str, jobs: int) -> list[Finding]:
-    """Compiles `#include "<header>"` alone per header: a header that leans
-    on its includers' includes fails here with the real compiler error."""
-
-    def compile_one(header: str) -> Finding | None:
-        with tempfile.NamedTemporaryFile(
-                mode="w", suffix=".cpp", delete=False) as tu:
-            tu.write(f'#include "{os.path.abspath(header)}"\n')
-            tu_path = tu.name
-        try:
-            cmd = [cxx, "-std=c++20", "-fsyntax-only"]
-            for inc in include_dirs:
-                cmd += ["-I", inc]
-            proc = subprocess.run(cmd + [tu_path], capture_output=True,
-                                  text=True, check=False)
-            if proc.returncode != 0:
-                first_error = next(
-                    (ln for ln in proc.stderr.splitlines() if "error:" in ln),
-                    proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "compile failed")
-                return Finding(header, 1, "self-contained",
-                               f"header does not compile in isolation: {first_error}")
-            return None
-        finally:
-            os.unlink(tu_path)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return [f for f in pool.map(compile_one, headers) if f is not None]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="determinism/units/layering/hygiene analyzer for the "
                     "vab tree")
     parser.add_argument("roots", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--self-contained", action="store_true",
-                        help="also compile every header in isolation, with "
-                             "each directory root as an include dir")
-    parser.add_argument("--cxx", default=os.environ.get("CXX", "g++"))
-    parser.add_argument("-j", "--jobs", type=int, default=os.cpu_count() or 2)
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args()
 
     if args.list_rules:
-        for rule_id in RULE_IDS + ["self-contained"]:
+        for rule_id in RULE_IDS:
             print(rule_id)
         return 0
 
@@ -831,24 +789,10 @@ def main() -> int:
         return 2
 
     findings = lint_files(files)
-
-    if args.self_contained:
-        if shutil.which(args.cxx) is None:
-            print(f"vab_lint: --self-contained needs {args.cxx} on PATH",
-                  file=sys.stderr)
-            return 2
-        headers = [f for f in files if f.endswith(HEADER_EXTENSIONS)]
-        include_dirs = [r for r in roots if os.path.isdir(r)]
-        findings.extend(check_self_contained(
-            headers, include_dirs, args.cxx, args.jobs))
-
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for finding in findings:
         print(finding.format())
-    checked = f"{len(files)} files"
-    if args.self_contained:
-        checked += " (+ header self-containment)"
-    print(f"vab_lint: {checked}, {len(findings)} finding(s)")
+    print(f"vab_lint: {len(files)} files, {len(findings)} finding(s)")
     return 1 if findings else 0
 
 
