@@ -7,13 +7,13 @@
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E3", "Array-size scaling",
                 "retro gain ~ N^2; range grows with element count");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 200));
+  const auto trials = cfg.get_count("trials", 200, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 3)));
   const double ref_range = cfg.get_double("range_m", 200.0);
   bench::init_threads(cfg);
@@ -36,4 +36,6 @@ int main(int argc, char** argv) {
   bench::emit(t, cfg);
   bench::emit_timing("E3", "max_range_bisect", sw.seconds(), 7 * 26 * trials);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -28,15 +28,15 @@ struct E1Results {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E1", "BER vs range (river)",
                 ">300 m round trip at BER 1e-3; PAB baseline fails past tens of meters");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 400));
-  const auto bits = static_cast<std::size_t>(cfg.get_int("bits_per_trial", 1024));
-  const auto wf_trials = static_cast<std::size_t>(cfg.get_int("waveform_trials", 3));
+  const auto trials = cfg.get_count("trials", 400, 1, 1'000'000);
+  const auto bits = cfg.get_count("bits_per_trial", 1024, 1, 1'000'000);
+  const auto wf_trials = cfg.get_count("waveform_trials", 3, 1, 1'000'000);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
   const unsigned threads = bench::init_threads(cfg);
   obs::set_manifest("seed", std::to_string(seed));
@@ -125,4 +125,6 @@ int main(int argc, char** argv) {
   }
   bench::emit_timing("E1", "sweep+waveform", elapsed, total_trials, serial_elapsed);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -64,14 +64,14 @@ std::vector<sim::CampaignConfig> shard_configs(const sim::CampaignConfig& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("CAMPAIGN", "Distributed resumable Monte-Carlo",
                 "sharded trials merge bit-identical to a single-process run");
 
   const std::string kind = cfg.get_string("kind", "waveform");
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 64));
-  const auto bits = static_cast<std::size_t>(cfg.get_int("bits", 64));
+  const auto trials = cfg.get_count("trials", 64, 1, 1'000'000);
+  const auto bits = cfg.get_count("bits", 64, 1, 65'536);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
   const bool merge = cfg.get_int("merge", 0) != 0;
   bench::init_threads(cfg);
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     }
   } else if (kind == "mismatch") {
     vanatta::VanAttaConfig ac;
-    ac.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+    ac.n_elements = cfg.get_count("elements", 8, 1, 1024);
     const double sigma_phase = cfg.get_double("sigma_phase_rad", 0.2);
     const double sigma_gain = cfg.get_double("sigma_gain_db", 1.0);
     std::vector<sim::MismatchShardResult> shards;
@@ -151,4 +151,6 @@ int main(int argc, char** argv) {
   bench::emit_timing("CAMPAIGN", kind + (merge ? ".merge" : ".shard"), sw.seconds(),
                      trials);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

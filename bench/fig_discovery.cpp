@@ -9,14 +9,14 @@
 #include "net/discovery.hpp"
 #include "net/mac.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT-4", "Node discovery (slotted Aloha, adaptive Q)",
                 "a freshly deployed field is inventoried without knowing any address");
 
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 24)));
-  const auto seeds = static_cast<std::size_t>(cfg.get_int("seeds", 20));
+  const auto seeds = cfg.get_count("seeds", 20, 1, 1'000'000);
   bench::init_threads(cfg);
   bench::Stopwatch sw;
   const net::MacTiming timing{};
@@ -64,4 +64,6 @@ int main(int argc, char** argv) {
   std::cout << "framed slotted Aloha optimum is 1/0.368 = 2.72 slots per node;\n"
                "the adaptive-Q controller should sit within ~2x of that.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -42,14 +42,14 @@ double coded_ber(double raw_ber, std::size_t data_bits, std::size_t packets,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT-3", "FEC at the range edge",
                 "Hamming(7,4)+interleaving extends the usable range past the waterfall");
 
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 23)));
-  const auto packets = static_cast<std::size_t>(cfg.get_int("packets", 200));
+  const auto packets = cfg.get_count("packets", 200, 1, 1'000'000);
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
   bench::emit(t, cfg);
   bench::emit_timing("EXT-3", "coded_ber_packets", sw.seconds(), 5 * packets);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -32,16 +32,16 @@ std::string hex64(std::uint64_t v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("FLEET", "Fleet-scale inventory scaling",
                 "van atta backscatter scales to dense sensor deployments");
 
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 23));
-  const auto max_nodes = static_cast<std::size_t>(cfg.get_int("max_nodes", 10000));
-  const auto replicates = static_cast<std::size_t>(cfg.get_int("replicates", 4));
-  const auto wave_cap = static_cast<std::size_t>(cfg.get_int("wave_cap", 8));
+  const auto max_nodes = cfg.get_count("max_nodes", 10000, 100, 100'000);
+  const auto replicates = cfg.get_count("replicates", 4, 1, 1000);
+  const auto wave_cap = cfg.get_count("wave_cap", 8, 0, 1'000'000'000);
   const double budget_s = cfg.get_double("budget_s", 0.0);
   const std::string series_path = cfg.get_string("series", "");
   const unsigned threads = bench::init_threads(cfg);
@@ -170,4 +170,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   return identical ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -20,14 +20,14 @@
 #include "fault/fault.hpp"
 #include "net/inventory.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT-5", "Burst-loss impairment sweep",
                 "ARQ delivery ratio vs Gilbert-Elliott mean loss rate");
 
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 50));
+  const auto n_nodes = cfg.get_count("nodes", 16, 1, 254);
+  const auto trials = cfg.get_count("trials", 50, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 5)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -137,4 +137,6 @@ int main(int argc, char** argv) {
   bench::emit_timing("EXT-5", "impairment_sweep", sw.seconds(),
                      grid.size() * trials);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -41,7 +41,7 @@ rvec to_levels(const bitvec& chips) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT-1", "Uplink line codes: FM0 vs Miller",
@@ -84,4 +84,6 @@ int main(int argc, char** argv) {
   std::cout << "reading: Miller concentrates energy at the subcarrier, buying immunity\n"
                "to SIC residue near DC, at 10log10(M/1) dB more noise bandwidth.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

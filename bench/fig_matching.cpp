@@ -7,7 +7,7 @@
 #include "common/stats.hpp"
 #include "piezo/matching.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E7", "Matching-network power transfer vs frequency",
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
             << "\n";
   bench::emit_timing("E7", "matching_sweep", sw.seconds(), 13);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

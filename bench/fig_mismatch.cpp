@@ -8,19 +8,19 @@
 #include "common/units.hpp"
 #include "vanatta/mismatch.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E11", "Mismatch tolerance Monte-Carlo",
                 "equal-length pair lines keep the coherent retro gain");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 500));
+  const auto trials = cfg.get_count("trials", 500, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 11)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 
   vanatta::VanAttaConfig ac;
-  ac.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+  ac.n_elements = cfg.get_count("elements", 8, 1, 1024);
 
   common::Table t({"phase_sigma_deg", "line_len_sigma_mm", "mean_loss_db", "p95_loss_db",
                    "worst_loss_db"});
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
             << common::Table::num(amp.p95_loss_db, 2) << " dB\n";
   bench::emit_timing("E11", "mismatch_mc", sw.seconds(), 7 * trials);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -9,7 +9,7 @@
 #include "piezo/modulator.hpp"
 #include "vanatta/array.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E10", "Load-modulation depth",
@@ -60,4 +60,6 @@ int main(int argc, char** argv) {
   bench::emit(a, common::Config{});
   bench::emit_timing("E10", "modulation_depth", sw.seconds(), 3 + 9 + 2);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

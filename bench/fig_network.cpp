@@ -10,13 +10,13 @@
 #include "core/system.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E12", "Multi-node TDMA network",
                 "coastal monitoring: tens of nodes served by one reader");
 
-  const auto rounds = static_cast<std::size_t>(cfg.get_int("rounds", 100));
+  const auto rounds = cfg.get_count("rounds", 100, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 12)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -63,4 +63,6 @@ int main(int argc, char** argv) {
   bench::emit(t, cfg);
   bench::emit_timing("E12", "network_grid", sw.seconds(), total_rounds);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

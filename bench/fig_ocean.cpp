@@ -9,13 +9,13 @@
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E4", "Ocean deployment BER vs range",
                 "first experimental validation of underwater backscatter in the ocean");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 400));
+  const auto trials = cfg.get_count("trials", 400, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 4)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
   bench::emit_timing("E4", "sweep+waveform", sw.seconds(),
                      2 * ranges.size() * trials + 3);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

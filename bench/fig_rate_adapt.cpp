@@ -55,7 +55,7 @@ vab::net::MacTiming ext6_timing() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT6", "Adaptive MCS ladder + slotted anti-collision",
@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
                 "acquisition outperforms flat SINR contention when dense");
 
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 61));
-  const auto cycles = static_cast<std::size_t>(cfg.get_int("cycles", 80));
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-  const auto replicates = static_cast<std::size_t>(cfg.get_int("replicates", 3));
+  const auto cycles = cfg.get_count("cycles", 80, 1, 1'000'000);
+  const auto n_nodes = cfg.get_count("nodes", 8, 1, 254);
+  const auto replicates = cfg.get_count("replicates", 3, 1, 1000);
   const double budget_s = cfg.get_double("budget_s", 0.0);
   const unsigned threads = bench::init_threads(cfg);
   common::Rng rng(seed);
@@ -241,4 +241,6 @@ int main(int argc, char** argv) {
   if (!identical) return 1;
   if (!(goodput_gate && delivery_gate && slotted_gate)) return 3;
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

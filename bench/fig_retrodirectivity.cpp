@@ -11,7 +11,7 @@
 #include "vanatta/pattern.hpp"
 #include "vanatta/planar.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E2", "SNR vs orientation (retrodirectivity)",
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
   bench::emit(p, common::Config{});
   bench::emit_timing("E2", "orientation_sweep", sw.seconds(), 13 * 3 + 2 + 7);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -9,13 +9,13 @@
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("EXT-2", "Sea-state robustness",
                 "field trials span sea states; the link must ride surface motion");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 3));
+  const auto trials = cfg.get_count("trials", 3, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 22)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
   bench::emit(t, cfg);
   bench::emit_timing("EXT-2", "waveform_batch", sw.seconds(), jobs.size() * trials);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -33,7 +33,7 @@ rvec make_capture(const phy::PhyConfig& cfg, const bitvec& payload, double mod_a
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg_args = common::Config::from_args(argc, argv);
   bench::banner("E8", "Self-interference cancellation",
@@ -109,4 +109,6 @@ int main(int argc, char** argv) {
   bench::emit(a, common::Config{});
   bench::emit_timing("E8", "sic_captures", sw.seconds(), bsrs.size() + ablations.size());
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

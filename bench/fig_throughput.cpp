@@ -9,13 +9,13 @@
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E6", "Throughput vs range",
                 "hundreds of bps sustained to hundreds of meters");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 200));
+  const auto trials = cfg.get_count("trials", 200, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 6)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -65,4 +65,6 @@ int main(int argc, char** argv) {
   bench::emit_timing("E6", "bisect+waveform", sw.seconds(),
                      bitrates.size() * 26 * trials + jobs.size() * 3);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -10,13 +10,13 @@
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E5", "Head-to-head vs prior state of the art",
                 "15x range at the same throughput and power");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 300));
+  const auto trials = cfg.get_count("trials", 300, 1, 1'000'000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 5)));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
@@ -67,4 +67,6 @@ int main(int argc, char** argv) {
                "budget; the range gain comes from the retrodirective array + the\n"
                "matching/polarity co-design (ablations: E2, E3, E7, E10).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -9,7 +9,7 @@
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   bench::banner("E9", "Node power budget",
@@ -56,4 +56,6 @@ int main(int argc, char** argv) {
             << " uW (90% sleep / 5% listen / 4% backscatter / 1% active)\n";
   bench::emit_timing("E9", "power_budget", sw.seconds(), 6);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

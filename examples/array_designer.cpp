@@ -16,14 +16,14 @@
 #include "vanatta/mismatch.hpp"
 #include "vanatta/pattern.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 4)));
 
   const double lambda = 1500.0 / 18500.0;
   vanatta::VanAttaConfig base = sim::vab_river_scenario().node.array;
-  base.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+  base.n_elements = cfg.get_count("elements", 8, 1, 1024);
   base.spacing_m = cfg.get_double("spacing_lambda", 0.5) * lambda;
   base.line_loss_db = cfg.get_double("line_loss_db", 0.5);
 
@@ -78,4 +78,6 @@ int main(int argc, char** argv) {
               << (r.mean_loss_db <= 0.5 ? "  <- OK" : "") << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -16,10 +16,10 @@
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 12));
+  const auto n_nodes = cfg.get_count("nodes", 12, 1, 254);
   const double radius = cfg.get_double("radius_m", 300.0);
   const double hours = cfg.get_double("hours", 24.0);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 7)));
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
   std::cout << "\nnodes beyond the harvesting radius run from their storage capacitor\n"
                "between reader passes; communication still works to ~300 m.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -11,10 +11,10 @@
 #include "fault/fault.hpp"
 #include "net/inventory.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 12));
+  const auto n_nodes = cfg.get_count("nodes", 12, 1, 254);
   const double mean_loss = cfg.get_double("mean_loss", 0.25);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 7)));
 
@@ -59,4 +59,6 @@ int main(int argc, char** argv) {
                            : "INCOMPLETE: poll budget exhausted")
             << "\n";
   return r.complete ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

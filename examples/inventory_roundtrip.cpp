@@ -29,7 +29,7 @@ rvec envelope_detect(const rvec& passband, double fs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   const auto addr = static_cast<std::uint8_t>(cfg.get_int("node_addr", 3));
@@ -101,4 +101,6 @@ int main(int argc, char** argv) {
             << " C, pressure " << common::Table::num(reading->pressure_kpa, 1)
             << " kPa, storage " << reading->battery_mv << " mV\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -23,12 +23,12 @@
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 5));
+  const auto n_nodes = cfg.get_count("nodes", 5, 1, 1'000'000);
   const double spacing = cfg.get_double("spacing_m", 150.0);
-  const auto passes = static_cast<std::size_t>(cfg.get_int("passes", 4));
+  const auto passes = cfg.get_count("passes", 4, 1, 1000);
   common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 9)));
   // threads=N overrides VAB_THREADS / hardware autodetection (0 = auto).
   common::set_thread_count(static_cast<unsigned>(cfg.get_int("threads", 0)));
@@ -113,4 +113,6 @@ int main(int argc, char** argv) {
                    core::StorageCapacitor(core::CapacitorConfig{}).usable_energy_j(), 3)
             << " J\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

@@ -14,7 +14,7 @@
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
 
@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
 
   // One real trial through the full DSP chain.
   sim::WaveformSimulator wsim(s, rng);
-  const bitvec payload = rng.random_bits(
-      static_cast<std::size_t>(cfg.get_int("payload_bits", 64)));
+  const bitvec payload = rng.random_bits(cfg.get_count("payload_bits", 64, 1, 65'536));
   const auto res = wsim.run_trial(payload);
 
   std::cout << "waveform trial:\n";
@@ -61,4 +60,6 @@ int main(int argc, char** argv) {
             << common::Table::num(res.incident_spl_at_node_db, 1) << " dB re 1 uPa\n";
   std::cout << "\n" << (res.frame_ok ? "frame decoded OK" : "frame FAILED") << "\n";
   return res.frame_ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return vab::common::bad_input(e);
 }

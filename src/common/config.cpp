@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -89,6 +90,17 @@ long Config::get_int(const std::string& key, long fallback) const {
   }
 }
 
+std::size_t Config::get_count(const std::string& key, std::size_t fallback,
+                              std::size_t lo, std::size_t hi) const {
+  if (!has(key)) return fallback;
+  const long v = get_int(key, 0);
+  if (v < 0 || static_cast<unsigned long>(v) < lo || static_cast<unsigned long>(v) > hi)
+    throw std::invalid_argument("config key '" + key + "' must be an integer in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) +
+                                "]: " + get_string(key, ""));
+  return static_cast<std::size_t>(v);
+}
+
 bool Config::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -107,6 +119,11 @@ std::vector<std::string> Config::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
   return out;
+}
+
+int bad_input(const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace vab::common

@@ -1,7 +1,7 @@
 // Span-aggregation profiler: folds the per-thread trace ring buffers into
 // per-stage self/total time, call counts and folded-stack output, exported
 // as `vab-profile-v1` JSON. This is the attribution story behind a
-// check_bench regression — "the run got 20% slower" becomes "demod.sync
+// perf regression — "the run got 20% slower" becomes "demod.sync
 // self-time doubled".
 //
 // Aggregation model (per thread, spans sorted by begin time):

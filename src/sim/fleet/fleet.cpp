@@ -279,6 +279,15 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     res.tally.waveform_cap_hits += t.waveform_cap_hits;
     res.tally.contended_polls += t.contended_polls;
   }
+  // The run's fidelity approximations, summed once per run.
+  static const obs::Counter marginal_ctr = obs::counter("fleet.escalations_marginal");
+  static const obs::Counter contention_ctr = obs::counter("fleet.escalations_contention");
+  static const obs::Counter cap_hits_ctr = obs::counter("fleet.waveform_cap_hits");
+  static const obs::Counter contended_ctr = obs::counter("fleet.contended_polls");
+  marginal_ctr.add(res.tally.escalations_marginal);
+  contention_ctr.add(res.tally.escalations_contention);
+  cap_hits_ctr.add(res.tally.waveform_cap_hits);
+  contended_ctr.add(res.tally.contended_polls);
   res.complete = res.delivered == res.assigned;
 
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -91,7 +91,7 @@ Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
     case FidelityMode::kAdaptive: {
       const bool marginal =
           std::abs(snr_eff_db - waterfall_snr_db_) <= policy_.escalate_margin_db;
-      const bool contended = policy_.escalate_on_contention && contention_ > 0;
+      const bool contended = contention_ > 0;
       if (marginal || contended) {
         want_waveform = true;
         if (marginal) ++tally_.escalations_marginal;

@@ -45,8 +45,6 @@ struct FidelityPolicy {
   /// A link is "marginal" when its effective SNR sits within this margin of
   /// the waterfall SNR (the SNR where frame delivery crosses 50%).
   double escalate_margin_db = 2.0;
-  /// Escalate links polled while another in-range reader is mid-exchange.
-  bool escalate_on_contention = true;
   /// Shared per-run budget of waveform polls; past it, escalation falls
   /// back to budget fidelity (counted, never silent).
   std::size_t max_waveform_polls = 128;

@@ -17,6 +17,7 @@
 #include "net/app.hpp"
 #include "net/frame.hpp"
 #include "net/mcs/mcs.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/medium.hpp"
@@ -277,6 +278,28 @@ TEST(FleetRun, RerunWithSameSeedIsBitIdentical) {
   EXPECT_EQ(a.polls, b.polls);
   const auto c = sim::fleet::run_fleet(fc, common::Rng(26));
   EXPECT_NE(a.digest, c.digest) << "digest ignores the seed";
+}
+
+TEST(FleetRun, TallyIsExportedAsObsCounters) {
+  // Overlapping readers and a cap that binds, so every mirrored tally field
+  // is non-zero.
+  sim::fleet::FleetConfig fc = budget_fleet(400, 4, 600.0);
+  fc.fidelity.mode = sim::fleet::FidelityMode::kAdaptive;
+  fc.fidelity.max_waveform_polls = 2;
+  const char* const names[] = {"fleet.escalations_marginal",
+                               "fleet.escalations_contention", "fleet.waveform_cap_hits",
+                               "fleet.contended_polls"};
+  const obs::Registry& reg = obs::Registry::global();
+  std::uint64_t before[4];
+  for (std::size_t i = 0; i < 4; ++i) before[i] = reg.counter_value(names[i]);
+  const auto r = sim::fleet::run_fleet(fc, common::Rng(29));
+  const std::size_t tally[] = {r.tally.escalations_marginal,
+                               r.tally.escalations_contention, r.tally.waveform_cap_hits,
+                               r.tally.contended_polls};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_GT(tally[i], 0u) << names[i];
+    EXPECT_EQ(reg.counter_value(names[i]) - before[i], tally[i]) << names[i];
+  }
 }
 
 // Randomized fleet topologies: extreme densities, zero ranges, degenerate

@@ -7,12 +7,13 @@
 //    fidelities deliver; |rate_budget - rate_waveform| <= 0.15.
 //  - solidly dead links (far past the budget's maximum range): both starve;
 //    each delivery rate <= 0.10.
-//  - the waterfall edge itself is EXCLUDED from equivalence: the waveform
-//    chain carries up to ~6 dB of implementation loss relative to the
-//    analytic budget (see WaveformE2E.LinkBudgetCalibratesAgainstWaveformSnr),
-//    which is decisive exactly there. That disagreement region is why the
-//    adaptive fidelity policy escalates links within escalate_margin_db of
-//    the waterfall to the waveform model instead of trusting the budget.
+//  - the waterfall edge itself is EXCLUDED from equivalence. What makes
+//    fleet outcomes move with the waveform cap is not the chain's ~6 dB of
+//    implementation loss but the 117.5-137.5 m two-ray notch
+//    (WaveformE2E.DeterministicTwoRayFadeNotch): one 96-bit waveform link
+//    delivers 0-1/8 there, 8/8 at 100-112.5 and 142.5-180 m. A range-indexed
+//    notch is invisible to the incoherent budget and to any SNR-indexed
+//    calibration (DESIGN.md, "Why escalate at the waterfall").
 #include <gtest/gtest.h>
 
 #include <cmath>

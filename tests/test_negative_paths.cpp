@@ -97,6 +97,17 @@ TEST(ConfigNegative, IntOverflowThrows) {
   EXPECT_THROW(cfg.get_int("big", 0), std::invalid_argument);
 }
 
+TEST(ConfigNegative, CountOutsideItsRangeThrows) {
+  Config cfg;
+  for (const char* v : {"-5", "0", "101"}) {
+    cfg.set("trials", v);
+    EXPECT_THROW((void)cfg.get_count("trials", 7, 1, 100), std::invalid_argument) << v;
+  }
+  cfg.set("trials", "100");
+  EXPECT_EQ(cfg.get_count("trials", 7, 1, 100), 100u);
+  EXPECT_EQ(Config{}.get_count("trials", 7, 1, 100), 7u);
+}
+
 TEST(ConfigNegative, BadBoolThrows) {
   Config cfg;
   cfg.set("flag", "maybe");
