@@ -1,7 +1,10 @@
 // FLEET — Fleet-scale inventory scaling: many readers, 1k..10k+ backscatter
 // nodes over the spatially partitioned medium, with adaptive PHY fidelity
 // (link-budget abstraction by default, waveform escalation for marginal or
-// contended links).
+// contended links; a contended window's SINR penalty applies at both).
+// `wave_cap` bounds waveform polls per reader per run, and still moves
+// outcomes: escalated links fail in the 117.5-137.5 m two-ray notch, and
+// the waveform chain's waterfall departs from the budget's with range.
 //
 // Also the determinism gate for the fleet core: the largest sweep point is
 // re-run with the parallel engine pinned to 1, 2, and 8 threads and every

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "net/frame.hpp"
@@ -41,7 +43,23 @@ std::size_t report_wire_bits() {
 
 }  // namespace
 
+void FleetConfig::validate() const {
+  const auto reject = [](const char* field, const char* rule) {
+    throw std::invalid_argument(std::string("FleetConfig::") + field + " must be " +
+                                rule);
+  };
+  if (!std::isfinite(area_m) || area_m <= 0.0) reject("area_m", "finite and > 0");
+  if (!std::isfinite(cell_size_m)) reject("cell_size_m", "finite");
+  if (!std::isfinite(max_link_range_m) || max_link_range_m < 0.0)
+    reject("max_link_range_m", "finite and >= 0");
+  if (!std::isfinite(interference_range_m) || interference_range_m < 0.0)
+    reject("interference_range_m", "finite and >= 0");
+  if (!std::isfinite(contention_penalty_db) || contention_penalty_db < 0.0)
+    reject("contention_penalty_db", "finite and >= 0");
+}
+
 FleetLayout make_layout(const FleetConfig& cfg, const common::Rng& rng) {
+  cfg.validate();
   FleetLayout out;
   // Readers on a coarse deterministic grid spanning the deployment square.
   const auto g = static_cast<std::size_t>(
@@ -64,6 +82,7 @@ FleetLayout make_layout(const FleetConfig& cfg, const common::Rng& rng) {
 }
 
 FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
+  cfg.validate();
   VAB_STAGE("fleet.run");
   FleetResult res;
   res.readers = cfg.n_readers;
@@ -98,8 +117,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     }
   }
 
-  // One transport (and one waveform-poll budget) per reader. The waterfall
-  // SNR depends only on the base scenario, so all readers share its value.
+  // One transport (and one waveform-poll budget) per reader.
   const std::size_t wire_bits = report_wire_bits();
   std::vector<std::unique_ptr<FleetLinkTransport>> transports;
   transports.reserve(cfg.n_readers);
@@ -109,8 +127,6 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
         wire_bits));
     if (cfg.mac_mode == MacMode::kSlotted) transports.back()->set_slotted_mode(true);
   }
-  if (!transports.empty())
-    res.waterfall_snr_db = transports[0]->waterfall_snr_db().raw();
 
   // Readers with work all start at t = 0: the queue's FIFO tie-break makes
   // the first round pop in reader-id order by construction.
@@ -132,8 +148,6 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
       obs::Registry::global(), "fleet.delivered", 256);
   static const obs::CounterFamily polls_by_reader(
       obs::Registry::global(), "fleet.polls", 256);
-
-  const bool record = cfg.record_series || static_cast<bool>(cfg.on_window);
 
   while (const auto ev = queue.pop()) {
     ++res.events;
@@ -170,8 +184,8 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     const std::size_t n_links = links.size();
     const PollTally tally_before = transports[r]->tally();
     const common::Rng window_rng = rng.child(kStreamReaders + r).child(w);
-    transports[r]->begin_window(std::move(links), window_rng.child(kStreamWaveform));
-    transports[r]->set_contention(contenders);
+    transports[r]->begin_window(std::move(links), window_rng.child(kStreamWaveform),
+                                contenders);
 
     double acquisition_s = 0.0;
     if (cfg.mac_mode == MacMode::kSlotted) {
@@ -243,7 +257,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     busy_until[r] = t + wres.duration_s + cfg.inventory.timing.guard_s;
     res.makespan_s = std::max(res.makespan_s, busy_until[r]);
 
-    if (record) {
+    if (cfg.record_series) {
       const PollTally& ta = transports[r]->tally();
       WindowPoint wp;
       wp.seq = static_cast<std::uint64_t>(res.windows - 1);
@@ -261,8 +275,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
           (ta.escalations_contention - tally_before.escalations_contention);
       wp.waveform_polls = ta.waveform_polls - tally_before.waveform_polls;
       wp.airtime_s = wres.duration_s;
-      if (cfg.record_series) res.series.push_back(wp);
-      if (cfg.on_window) cfg.on_window(wp);
+      res.series.push_back(wp);
     }
     if (hi < ids.size()) {
       queue.push(Event{busy_until[r], static_cast<std::uint32_t>(r),
@@ -279,11 +292,15 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     res.tally.waveform_cap_hits += t.waveform_cap_hits;
     res.tally.contended_polls += t.contended_polls;
   }
-  // The run's fidelity approximations, summed once per run.
+  // The run's fidelity split and approximations, summed once per run.
+  static const obs::Counter budget_ctr = obs::counter("fleet.polls_budget");
+  static const obs::Counter waveform_ctr = obs::counter("fleet.polls_waveform");
   static const obs::Counter marginal_ctr = obs::counter("fleet.escalations_marginal");
   static const obs::Counter contention_ctr = obs::counter("fleet.escalations_contention");
   static const obs::Counter cap_hits_ctr = obs::counter("fleet.waveform_cap_hits");
   static const obs::Counter contended_ctr = obs::counter("fleet.contended_polls");
+  budget_ctr.add(res.tally.budget_polls);
+  waveform_ctr.add(res.tally.waveform_polls);
   marginal_ctr.add(res.tally.escalations_marginal);
   contention_ctr.add(res.tally.escalations_contention);
   cap_hits_ctr.add(res.tally.waveform_cap_hits);
@@ -297,23 +314,11 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
         res.acks_lost, res.demotions, res.windows, res.events,
         res.contended_windows, res.tally.budget_polls, res.tally.waveform_polls,
         res.tally.escalations_marginal, res.tally.escalations_contention,
-        res.tally.waveform_cap_hits, res.tally.contended_polls}) {
+        res.tally.waveform_cap_hits, res.tally.contended_polls, res.slot_total,
+        res.slot_idle, res.slot_success, res.slot_collision, res.slot_capture,
+        res.slotted_unresolved, res.mcs_steps_up, res.mcs_steps_down,
+        res.reconfigures}) {
     h = fnv1a(h, static_cast<std::uint64_t>(v));
-  }
-  // Feature-gated counters fold in only when their feature is on, so every
-  // historical digest (penalty MAC, no ladder) is byte-identical.
-  if (cfg.mac_mode == MacMode::kSlotted) {
-    for (const std::size_t v :
-         {res.slot_total, res.slot_idle, res.slot_success, res.slot_collision,
-          res.slot_capture, res.slotted_unresolved}) {
-      h = fnv1a(h, static_cast<std::uint64_t>(v));
-    }
-  }
-  if (cfg.inventory.ladder != nullptr) {
-    for (const std::size_t v :
-         {res.mcs_steps_up, res.mcs_steps_down, res.reconfigures}) {
-      h = fnv1a(h, static_cast<std::uint64_t>(v));
-    }
   }
   res.digest = fnv1a(h, res.complete ? 1 : 0);
   return res;

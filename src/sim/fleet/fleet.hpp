@@ -13,8 +13,8 @@
 //  - scheduling: a deterministic event queue interleaves the readers'
 //    windows on the virtual clock. A reader polled while another reader is
 //    mid-window within interference_range_m sees contention: an SINR
-//    penalty per contender in the budget model, and (policy permitting)
-//    escalation of those polls to waveform fidelity.
+//    penalty per contender, paid at both fidelities, and (policy
+//    permitting) escalation of those polls to waveform fidelity.
 //  - PHY: every poll crosses a FleetLinkTransport (budget fidelity by
 //    default, waveform for marginal/contended links) driving the *real*
 //    ReaderMac/NodeMac ARQ via net::poll_exchange.
@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -91,10 +90,10 @@ struct FleetConfig {
   double max_link_range_m = 250.0;
   /// Reader-to-reader distance within which concurrent windows contend.
   double interference_range_m = 500.0;
-  /// SINR penalty per concurrent in-range exchange (dB, budget model).
-  /// Applied only in MacMode::kSinrPenalty.
+  /// SINR penalty per concurrent in-range exchange (dB), paid at both
+  /// fidelities. Applied only in MacMode::kSinrPenalty.
   double contention_penalty_db = 3.0;
-  /// Contention model; kSinrPenalty reproduces every historical digest.
+  /// Contention model.
   MacMode mac_mode = MacMode::kSinrPenalty;
   /// Slotted-acquisition parameters (MacMode::kSlotted only).
   net::anticollision::QConfig slotted{};
@@ -105,10 +104,12 @@ struct FleetConfig {
   /// Purely observational: the digest and every protocol outcome are
   /// bit-identical with this on or off.
   bool record_series = false;
-  /// Live per-window hook, invoked synchronously inside the (serial) event
-  /// loop as each window closes. Same observational guarantee. Callers
-  /// fanning replicates over threads must make the callback thread-safe.
-  std::function<void(const WindowPoint&)> on_window;
+
+  /// Throws std::invalid_argument naming the first bad field: `area_m` not
+  /// finite and positive, a range or `cell_size_m` not finite, a negative
+  /// range, or `contention_penalty_db` not finite and non-negative.
+  /// (`cell_size_m <= 0` and `n_readers == 0` stay valid.)
+  void validate() const;
 };
 
 /// Aggregate outcome of one fleet run. All counters are integers so the
@@ -129,22 +130,20 @@ struct FleetResult {
   std::size_t windows = 0;  ///< address windows inventoried
   std::size_t events = 0;   ///< events popped from the queue
   std::size_t contended_windows = 0;
-  /// Slotted-MAC accounting (all zero in MacMode::kSinrPenalty; folded into
-  /// the digest only in kSlotted so historical digests are untouched).
+  /// Slotted-MAC accounting (all zero in MacMode::kSinrPenalty).
   std::size_t slot_total = 0;
   std::size_t slot_idle = 0;
   std::size_t slot_success = 0;
   std::size_t slot_collision = 0;
   std::size_t slot_capture = 0;
   std::size_t slotted_unresolved = 0;  ///< contenders unresolved at window end
-  /// MCS accounting (all zero without a ladder; digest-folded only then).
+  /// MCS accounting (all zero without a ladder).
   std::size_t mcs_steps_up = 0;
   std::size_t mcs_steps_down = 0;
   std::size_t reconfigures = 0;
   PollTally tally;              ///< fidelity/escalation accounting
   double makespan_s = 0.0;      ///< virtual time when the last reader went idle
   double airtime_s = 0.0;       ///< summed exchange airtime across readers
-  double waterfall_snr_db = 0.0;
   std::uint64_t digest = 0;  ///< FNV-1a over the integer outcomes above
   bool complete = false;     ///< every assigned node delivered
   /// Per-window time series (populated when FleetConfig::record_series is
@@ -161,9 +160,11 @@ struct FleetLayout {
 };
 
 /// Positions drawn from `rng.child(...)` streams; the parent never advances.
+/// Validates `cfg` first.
 FleetLayout make_layout(const FleetConfig& cfg, const common::Rng& rng);
 
 /// One seeded fleet run; pure function of (cfg, rng state). Serial.
+/// Validates `cfg` first.
 FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng);
 
 /// `n_runs` independent replicates (run k seeds from rng.child(k)), fanned

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/obs.hpp"
 #include "phy/fec.hpp"
 
 namespace vab::sim::fleet {
@@ -52,14 +51,17 @@ FleetLinkTransport::FleetLinkTransport(const Scenario& base,
 }
 
 void FleetLinkTransport::begin_window(std::vector<LinkInfo> links,
-                                      common::Rng wave_stream) {
+                                      common::Rng wave_stream,
+                                      std::size_t contenders) {
   links_ = std::move(links);
   for (LinkInfo& l : links_)
     l.snr_db = budget_.evaluate(common::Meters{l.range_m}).snr_chip_db;
   wave_ = std::vector<std::unique_ptr<WaveLink>>(links_.size());
   mcs_.assign(links_.size(), nullptr);
   wave_stream_ = wave_stream;
-  contention_ = 0;
+  contenders_ = contenders;
+  penalty_db_ = slotted_mode_ ? 0.0
+                              : static_cast<double>(contenders) * contention_penalty_db_;
 }
 
 void FleetLinkTransport::set_uplink_mcs(std::uint8_t addr,
@@ -72,6 +74,9 @@ FleetLinkTransport::WaveLink& FleetLinkTransport::wave_link(std::uint8_t addr) {
   if (!slot) {
     Scenario s = base_;
     s.range_m = links_[addr].range_m;
+    // The window's SINR penalty, as a quieter projector: the backscatter
+    // scales with the source level and the ambient noise does not.
+    s.reader.source_level_db -= penalty_db_;
     // One draw stream per (run, node): escalation order cannot perturb other
     // links, and the parent window stream is never advanced.
     slot = std::make_unique<WaveLink>(std::move(s),
@@ -80,7 +85,7 @@ FleetLinkTransport::WaveLink& FleetLinkTransport::wave_link(std::uint8_t addr) {
   return *slot;
 }
 
-Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
+bool FleetLinkTransport::choose_fidelity(common::SnrDb snr_eff) {
   bool want_waveform = false;
   switch (policy_.mode) {
     case FidelityMode::kBudgetOnly:
@@ -90,8 +95,8 @@ Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
       break;
     case FidelityMode::kAdaptive: {
       const bool marginal =
-          std::abs(snr_eff_db - waterfall_snr_db_) <= policy_.escalate_margin_db;
-      const bool contended = contention_ > 0;
+          std::abs((snr_eff - waterfall_snr_db()).raw()) <= kEscalateMargin.raw();
+      const bool contended = contenders_ > 0;
       if (marginal || contended) {
         want_waveform = true;
         if (marginal) ++tally_.escalations_marginal;
@@ -104,7 +109,7 @@ Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
     ++tally_.waveform_cap_hits;
     want_waveform = false;
   }
-  return want_waveform ? Fidelity::kWaveform : Fidelity::kBudget;
+  return want_waveform;
 }
 
 bool FleetLinkTransport::downlink_delivered(std::uint8_t addr, common::Rng& rng) {
@@ -126,28 +131,15 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
   if (addr >= links_.size())
     throw std::out_of_range("poll outside the active address window");
   const LinkInfo& link = links_[addr];
-  if (contention_ > 0) ++tally_.contended_polls;
+  if (contenders_ > 0) ++tally_.contended_polls;
 
-  // The SINR penalty for concurrent in-range exchanges applies to both
-  // fidelities' escalation decision; the budget path also folds it into the
-  // delivery draw (the waveform path models interference via its own noise).
-  // In slotted-MAC mode the penalty is withheld: contention has already been
-  // resolved per slot, and double-charging it here was the seam this flag
-  // closes.
-  const double penalty_db =
-      slotted_mode_ ? 0.0
-                    : static_cast<double>(contention_) * contention_penalty_db_;
-  const double snr_eff = link.snr_db.raw() - penalty_db;
+  const double snr_eff = link.snr_db.raw() - penalty_db_;
   const net::mcs::McsEntry* entry = mcs_[addr];
   // The waveform pipeline runs the scenario's fixed PHY config, so a
   // commanded rung (whose curve the MAC is adapting against) pins budget
   // fidelity instead of silently decoding at the wrong rate.
-  last_fidelity_ = entry != nullptr ? Fidelity::kBudget : choose_fidelity(snr_eff);
-
-  if (last_fidelity_ == Fidelity::kBudget) {
+  if (entry != nullptr || !choose_fidelity(common::SnrDb{snr_eff})) {
     ++tally_.budget_polls;
-    static const obs::Counter polls = obs::counter("fleet.polls_budget");
-    polls.add(1);
     const double fade = rng.gaussian(0.0, base_.env.fading_sigma_db);
     last_snr_db_ = common::SnrDb{snr_eff + fade};
     const net::mcs::McsEntry& curve =
@@ -157,8 +149,6 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
   }
 
   ++tally_.waveform_polls;
-  static const obs::Counter polls = obs::counter("fleet.polls_waveform");
-  polls.add(1);
   last_snr_db_ = common::SnrDb{snr_eff};  // budget estimate; waveform draw implicit
   WaveLink& wl = wave_link(addr);
   bitvec tx_bits;

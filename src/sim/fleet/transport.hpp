@@ -8,9 +8,16 @@
 // - Waveform fidelity: the report's wire bits ride the full pipeline
 //   (projector carrier, multipath, array reflection, blast, Wenz noise,
 //   SIC, demod); decode errors corrupt the wire in place and the reader's
-//   CRC classifies the damage. Cost: tens of ms per poll, so the policy
+//   CRC classifies the damage. Cost: milliseconds per poll, so the policy
 //   escalates only marginal or contended links and a shared cap bounds the
 //   per-run spend.
+//
+// Contention is a property of the address window: begin_window prices it
+// once as an SINR penalty (contenders x contention_penalty_db), and both
+// fidelities pay it. The budget draw subtracts it from the link's SNR; the
+// waveform link derates its projector's source level by the same dB, which
+// lowers the backscatter (linear in the source level) and leaves the
+// ambient noise alone.
 //
 // Escalation is observable: per-transport tallies feed the fleet result and
 // the obs fleet.* counters.
@@ -31,20 +38,18 @@
 
 namespace vab::sim::fleet {
 
-/// Which PHY model carried a poll.
-enum class Fidelity : std::uint8_t { kBudget, kWaveform };
-
 enum class FidelityMode : std::uint8_t {
   kAdaptive,      ///< budget by default, waveform for marginal/contended links
   kBudgetOnly,    ///< never escalate (fastest; large-fleet default)
   kWaveformOnly,  ///< every poll through the waveform pipeline (validation)
 };
 
+/// A link is "marginal" when its effective SNR sits within this margin of
+/// the waterfall SNR (the SNR where frame delivery crosses 50%).
+inline constexpr common::Db kEscalateMargin{2.0};
+
 struct FidelityPolicy {
   FidelityMode mode = FidelityMode::kAdaptive;
-  /// A link is "marginal" when its effective SNR sits within this margin of
-  /// the waterfall SNR (the SNR where frame delivery crosses 50%).
-  double escalate_margin_db = 2.0;
   /// Shared per-run budget of waveform polls; past it, escalation falls
   /// back to budget fidelity (counted, never silent).
   std::size_t max_waveform_polls = 128;
@@ -78,20 +83,20 @@ class FleetLinkTransport final : public net::LinkTransport {
   FleetLinkTransport(const Scenario& base, const FidelityPolicy& policy,
                      common::Db contention_penalty, std::size_t report_bits);
 
-  /// Installs the links of the next address window (index = local addr) and
-  /// the stream that seeds per-link waveform draws.
-  void begin_window(std::vector<LinkInfo> links, common::Rng wave_stream);
+  /// Installs the links of the next address window (index = local addr), the
+  /// stream that seeds per-link waveform draws, and the number of other
+  /// readers mid-exchange in interference range. The window's SINR penalty,
+  /// `contenders` x `contention_penalty`, applies to every poll at either
+  /// fidelity.
+  void begin_window(std::vector<LinkInfo> links, common::Rng wave_stream,
+                    std::size_t contenders = 0);
 
-  /// Number of other readers mid-exchange in interference range of the node
-  /// being polled next; reset before every poll by the fleet engine.
-  void set_contention(std::size_t contenders) { contention_ = contenders; }
-
-  /// Declares that a real slotted MAC arbitrates this window's contention.
-  /// The flat per-contender SINR penalty and the slotted MAC model the same
-  /// physics (concurrent in-range exchanges), so they are mutually
-  /// exclusive: in slotted mode the penalty is NOT applied — collisions are
-  /// resolved per slot upstream — while contended polls are still tallied
-  /// and still eligible for waveform escalation.
+  /// Declares that a real slotted MAC arbitrates contention. The flat
+  /// per-contender SINR penalty and the slotted MAC model the same physics
+  /// (concurrent in-range exchanges), so they are mutually exclusive: in
+  /// slotted mode the penalty is NOT applied — collisions are resolved per
+  /// slot upstream — while contended polls are still tallied and still
+  /// eligible for waveform escalation.
   void set_slotted_mode(bool on) { slotted_mode_ = on; }
   bool slotted_mode() const { return slotted_mode_; }
 
@@ -108,7 +113,6 @@ class FleetLinkTransport final : public net::LinkTransport {
   }
 
   const PollTally& tally() const { return tally_; }
-  Fidelity last_fidelity() const { return last_fidelity_; }
   common::SnrDb waterfall_snr_db() const { return common::SnrDb{waterfall_snr_db_}; }
   /// Active window's links with their budget SNRs (filled by begin_window).
   const std::vector<LinkInfo>& links() const { return links_; }
@@ -120,10 +124,9 @@ class FleetLinkTransport final : public net::LinkTransport {
     WaveLink(Scenario s, common::Rng stream) : rng(stream), sim(std::move(s), rng) {}
   };
 
-  // Private helper in the raw interior domain (the penalty arithmetic
-  // happens before any wrapping back into SnrDb).
-  // vab-lint: allow(unit-suffix-double-param) private raw-domain helper
-  Fidelity choose_fidelity(double snr_eff_db);
+  /// True when the poll at effective SNR `snr_eff` runs at waveform
+  /// fidelity; tallies the escalation and any cap hit.
+  bool choose_fidelity(common::SnrDb snr_eff);
   WaveLink& wave_link(std::uint8_t addr);
 
   Scenario base_;
@@ -135,10 +138,10 @@ class FleetLinkTransport final : public net::LinkTransport {
   std::vector<std::unique_ptr<WaveLink>> wave_;  ///< lazy, per window addr
   std::vector<const net::mcs::McsEntry*> mcs_;   ///< commanded rung, per addr
   common::Rng wave_stream_{0};
-  std::size_t contention_ = 0;
+  std::size_t contenders_ = 0;
+  double penalty_db_ = 0.0;  ///< this window's SINR penalty
   bool slotted_mode_ = false;
   PollTally tally_;
-  Fidelity last_fidelity_ = Fidelity::kBudget;
   std::optional<common::SnrDb> last_snr_db_;
 };
 

@@ -129,18 +129,18 @@ TEST(FleetFidelity, DeliveryRatesDecayWithRangeUnderBothFidelities) {
 }
 
 TEST(FleetFidelity, EscalationRegionCoversTheModelDisagreementBand) {
-  // The default policy's escalation margin must cover the range band where
-  // the budget's predicted delivery transitions from good to dead — i.e. a
-  // link the budget calls marginal is exactly a link sent to the waveform.
+  // The escalation margin must cover the range band where the budget's
+  // predicted delivery transitions from good to dead — i.e. a link the
+  // budget calls marginal is exactly a link sent to the waveform.
   const sim::Scenario s = overlap_scenario();
-  const FidelityPolicy policy;  // defaults: adaptive, 2 dB margin
-  const FleetLinkTransport tp(s, policy, common::Db{3.0}, kReportBits);
+  const FleetLinkTransport tp(s, FidelityPolicy{}, common::Db{3.0}, kReportBits);
   const double w = tp.waterfall_snr_db().raw();
   const net::mcs::McsEntry& paper = net::mcs::paper_rung();
-  const double p_hi = paper.frame_delivery_prob(
-      common::SnrDb{w + policy.escalate_margin_db}, kReportBits);
-  const double p_lo = paper.frame_delivery_prob(
-      common::SnrDb{w - policy.escalate_margin_db}, kReportBits);
+  const double margin = sim::fleet::kEscalateMargin.raw();
+  const double p_hi =
+      paper.frame_delivery_prob(common::SnrDb{w + margin}, kReportBits);
+  const double p_lo =
+      paper.frame_delivery_prob(common::SnrDb{w - margin}, kReportBits);
   EXPECT_GT(p_hi, 0.75);  // above the margin: budget is trustworthy-good
   EXPECT_LT(p_lo, 0.25);  // below the margin: budget is trustworthy-dead
 }

@@ -1,6 +1,6 @@
 // Error paths the sanitizer CI now exercises end to end: Config parsing
 // rejections, frame::parse_checked structural bounds, AdaptConfig and
-// waveform-channel / noise-synthesis inputs. Every rejection
+// waveform-channel / noise-synthesis inputs, and FleetConfig. Every rejection
 // here must classify cleanly — never read past a buffer, never accept a
 // half-parsed value.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "channel/noise.hpp"
 #include "channel/waveform_channel.hpp"
@@ -20,6 +21,8 @@
 #include "net/mcs/adapt.hpp"
 #include "net/mcs/mcs.hpp"
 #include "phy/coding.hpp"
+#include "sim/fleet/fleet.hpp"
+#include "sim/scenario.hpp"
 
 namespace vab {
 namespace {
@@ -375,6 +378,62 @@ TEST(NoiseSynthesisNegative, NonFiniteSampleRateRejected) {
                  std::invalid_argument)
         << bad;
   }
+}
+
+// ------------------------------------------------------------ FleetConfig --
+
+// 200 nodes, 2 readers, budget fidelity. Before validation, each of
+// area_m = -100, area_m = NaN and contention_penalty_db = NaN ran to
+// completion: 200/200 delivered, all 200 unreachable, and 0 delivered after
+// 8,192 polls.
+TEST(FleetConfigNegative, BadFieldThrowsNamingIt) {
+  using sim::fleet::FleetConfig;
+  const auto small_fleet = [] {
+    FleetConfig fc;
+    fc.scenario = sim::vab_river_scenario();
+    fc.n_nodes = 200;
+    fc.n_readers = 2;
+    fc.fidelity.mode = sim::fleet::FidelityMode::kBudgetOnly;
+    return fc;
+  };
+  // cell_size_m <= 0 falls back to 1 m; ranges and the penalty may be 0.
+  const struct {
+    double FleetConfig::*field;
+    const char* name;
+    std::vector<double> bad;
+  } cases[] = {
+      {&FleetConfig::area_m, "area_m", {-100.0, 0.0, kNaN, kInf}},
+      {&FleetConfig::cell_size_m, "cell_size_m", {kNaN, kInf, -kInf}},
+      {&FleetConfig::max_link_range_m, "max_link_range_m", {-1.0, kNaN, kInf}},
+      {&FleetConfig::interference_range_m, "interference_range_m", {-1.0, kNaN, kInf}},
+      {&FleetConfig::contention_penalty_db, "contention_penalty_db", {-1.0, kNaN, kInf}},
+  };
+  const common::Rng rng(1);
+  for (const auto& [field, name, bad_values] : cases) {
+    for (const double bad : bad_values) {
+      FleetConfig fc = small_fleet();
+      fc.*field = bad;
+      for (const bool layout_only : {false, true}) {
+        try {
+          if (layout_only) {
+            (void)sim::fleet::make_layout(fc, rng);
+          } else {
+            (void)sim::fleet::run_fleet(fc, rng);
+          }
+          ADD_FAILURE() << "accepted " << name << " = " << bad;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        }
+      }
+    }
+  }
+  // The documented fallbacks stay valid.
+  FleetConfig fc = small_fleet();
+  fc.cell_size_m = -5.0;
+  fc.n_readers = 0;
+  fc.interference_range_m = 0.0;
+  fc.contention_penalty_db = 0.0;
+  EXPECT_NO_THROW((void)sim::fleet::run_fleet(fc, rng));
 }
 
 }  // namespace

@@ -673,8 +673,8 @@ TEST(FleetSeamConformance, SlottedModeWithholdsTheSinrPenalty) {
     sim::fleet::FleetLinkTransport tp(base, policy, common::Db{3.0}, 96);
     tp.set_slotted_mode(slotted);
     common::Rng rng(0xC0117);
-    tp.begin_window({{7, 420.0, common::SnrDb{0.0}}}, rng.child(1));  // marginal range
-    tp.set_contention(contenders);
+    tp.begin_window({{7, 420.0, common::SnrDb{0.0}}}, rng.child(1),  // marginal range
+                    contenders);
     common::Rng poll_rng = rng.child(2);
     std::size_t delivered = 0;
     for (int i = 0; i < 200; ++i) {
