@@ -145,28 +145,25 @@ void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
 
   // Hermitian spectrum with per-bin amplitude from the Wenz NSD (cached).
   // PSD [Pa^2/Hz] -> per-bin variance = PSD * df; split across +/- bins.
-  // Bins are written straight to their bit-reversed slots, so the inverse
-  // FFT below skips its permutation pass; the values are the ones the
-  // natural-order fill produced, draw for draw.
+  // Bins 1..half-1 are drawn in natural order into `bins`, then spec is
+  // written front to back in bit-reversed order (slot p holds bin
+  // bitrev(p)) so the inverse FFT below skips its permutation pass. The
+  // values are the ones the natural-order fill produced, draw for draw;
+  // the gather reads the half-size bin buffer at random instead of
+  // scattering two writes per bin across the full spectrum.
   const rvec& sigma = sigma_table(nfft, fs_hz, cond);
-  // Looked up after the lease: with the plan first, a plan-cache miss
-  // allocates ahead of the lease's growth, which raised the waveform
-  // campaign's peak RSS by ~4 MB.
   const dsp::FftPlan& plan = dsp::fft_plan(nfft);
   const std::size_t half = nfft / 2;
-  constexpr std::size_t kChunk = 512;
-  cplx draws[kChunk];
-  for (std::size_t k0 = 1; k0 < half; k0 += kChunk) {
-    const std::size_t m = std::min(kChunk, half - k0);
-    rng.fill_complex_gaussian(draws, m);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t k = k0 + j;
-      const cplx v = sigma[k] * draws[j];
-      spec[plan.bitrev(k)] = v;
-      spec[plan.bitrev(nfft - k)] = std::conj(v);
-    }
+  auto bins_l = dsp::Workspace::local().take_c(half);
+  cvec& bins = *bins_l;
+  rng.fill_complex_gaussian(bins.data() + 1, half - 1);
+  for (std::size_t k = 1; k < half; ++k) bins[k] = sigma[k] * bins[k];
+  // Slots 0 and 1 hold DC and Nyquist (real-valued; negligible energy,
+  // kept zero by the lease); every other slot's bin is neither.
+  for (std::size_t p = 2; p < nfft; ++p) {
+    const std::size_t k = plan.bitrev(p);
+    spec[p] = k < half ? bins[k] : std::conj(bins[nfft - k]);
   }
-  // DC and Nyquist real-valued; negligible energy, keep zero.
 
   // With the inverse FFT's 1/N normalization the per-sample variance is
   // sum_k |S_k|^2 / N^2; scaling by N lands it at sum_k PSD*df, the total

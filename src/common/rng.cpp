@@ -66,6 +66,21 @@ cplx Rng::complex_gaussian(double variance) {
   return {s * gaussian(), s * gaussian()};
 }
 
+void Rng::fill_uniform(double* out, std::size_t n, double lo, double hi) {
+  const double span = hi - lo;
+  while (n > 0) {
+    if (engine_.pos_ >= MersenneTwister64::kStateWords) engine_.refill();
+    const std::size_t pos = engine_.pos_;
+    const std::size_t m = std::min(MersenneTwister64::kStateWords - pos, n);
+    const std::uint64_t* words = engine_.state_ + pos;
+    for (std::size_t j = 0; j < m; ++j)
+      out[j] = lo + span * canonical(MersenneTwister64::temper(words[j]));
+    engine_.pos_ = pos + m;
+    out += m;
+    n -= m;
+  }
+}
+
 void Rng::fill_complex_gaussian(cplx* out, std::size_t n) {
   const double s = std::sqrt(1.0 / 2.0);
   // Scalar calls take normals in order, real part first, and each accepted

@@ -103,6 +103,11 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
+  /// Writes out[i] = uniform(lo, hi) for i in [0, n): the same values and
+  /// the same final generator state as n scalar calls, mapped a block of
+  /// engine words at a time.
+  void fill_uniform(double* out, std::size_t n, double lo, double hi);
+
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);

@@ -1,9 +1,11 @@
 #include "dsp/fft.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/units.hpp"
 #include "dsp/simd/simd.hpp"
@@ -24,12 +26,23 @@ std::size_t next_pow2(std::size_t n) {
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-FftPlan::FftPlan(std::size_t n) : n_(n) {
+namespace {
+
+// The bit-reversal table holds 32-bit indices (half the plan's footprint
+// for every realistic size), so sizes whose indices would truncate are
+// rejected.
+constexpr unsigned kMaxLog2Size = 32;
+
+void check_plan_size(std::size_t n) {
   if (!is_pow2(n)) throw std::invalid_argument("fft size must be a power of two");
-  // The bit-reversal table holds 32-bit indices (half the plan's footprint
-  // for every realistic size); reject sizes whose indices would truncate.
-  if (n > (std::size_t{1} << 32))
+  if (n > (std::size_t{1} << kMaxLog2Size))
     throw std::length_error("fft size exceeds 2^32 (32-bit bit-reversal table)");
+}
+
+}  // namespace
+
+FftPlan::FftPlan(std::size_t n) : n_(n) {
+  check_plan_size(n);
   // Bit-reversal permutation, same incremental construction the unplanned
   // transform ran per call.
   bitrev_.assign(n, 0);
@@ -88,15 +101,33 @@ void FftPlan::inverse_bitreversed(cplx* x) const {
 const FftPlan& fft_plan(std::size_t n) {
   static const obs::Counter hits = obs::counter("dsp.fft.plan_hits");
   static const obs::Counter misses = obs::counter("dsp.fft.plan_misses");
-  thread_local std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    misses.inc();
-    it = cache.emplace(n, std::make_unique<FftPlan>(n)).first;
-  } else {
+  // One slot per log2 size. A published plan is never replaced or freed
+  // before exit, so a hit is one acquire load; builds serialize on the
+  // mutex, and the second check under it keeps each size to one plan.
+  struct Cache {
+    std::atomic<const FftPlan*> slot[kMaxLog2Size + 1] = {};
+    std::unique_ptr<const FftPlan> owned[kMaxLog2Size + 1];
+    std::mutex build;
+  };
+  static Cache cache;
+  check_plan_size(n);
+  const auto log2n = static_cast<std::size_t>(std::countr_zero(n));
+  const FftPlan* plan = cache.slot[log2n].load(std::memory_order_acquire);
+  if (plan) {
     hits.inc();
+    return *plan;
   }
-  return *it->second;
+  const std::lock_guard<std::mutex> lock(cache.build);
+  plan = cache.slot[log2n].load(std::memory_order_relaxed);
+  if (plan) {
+    hits.inc();
+    return *plan;
+  }
+  misses.inc();
+  cache.owned[log2n] = std::make_unique<const FftPlan>(n);
+  plan = cache.owned[log2n].get();
+  cache.slot[log2n].store(plan, std::memory_order_release);
+  return *plan;
 }
 
 void fft_inplace(cvec& x) { fft_plan(x.size()).forward(x.data()); }

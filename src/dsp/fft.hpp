@@ -3,11 +3,13 @@
 // Self-contained (no external FFT dependency): iterative in-place
 // decimation-in-time, O(n log n) for power-of-two sizes. All transforms run
 // through an FftPlan — per-size precomputed twiddle-factor tables and
-// bit-reversal permutation — held in a thread-local plan cache, so repeated
+// bit-reversal permutation — held in one process-wide plan cache, so repeated
 // transforms of the same size (the Monte-Carlo steady state) do no trig, no
-// table rebuilding and no allocation. Planned transforms are bit-identical
-// to the historical direct implementation: the tables are filled with the
-// exact same recurrence the unplanned code evaluated inline.
+// table rebuilding and no allocation, and worker threads share one copy of
+// each table. Planned transforms are bit-identical to the historical direct
+// implementation: the tables are filled with the exact same recurrence the
+// unplanned code evaluated inline, and the butterflies run on the same
+// inputs and twiddles, only in a cache-friendlier order.
 //
 // Non-power-of-two inputs are handled by the convolution helpers via
 // zero-padding.
@@ -29,8 +31,8 @@ bool is_pow2(std::size_t n);
 
 /// Precomputed transform of one power-of-two size: bit-reversal permutation
 /// plus per-stage twiddle tables for both directions. Plans are immutable
-/// after construction and safe to share across threads read-only, but the
-/// cache below keeps them thread-local so lookups need no lock.
+/// after construction and safe to share across threads read-only, which is
+/// how the cache below hands them out.
 class FftPlan {
  public:
   /// `n` must be a power of two (throws std::invalid_argument otherwise).
@@ -61,9 +63,10 @@ class FftPlan {
   cvec tw_inv_;
 };
 
-/// The calling thread's plan for size `n` (a power of two), building it on
-/// first use. Cache hits/misses are counted in the obs metrics
-/// `dsp.fft.plan_hits` / `dsp.fft.plan_misses`.
+/// The process's one plan for size `n` (a power of two), built on first use
+/// and shared read-only by every thread: all callers get the same address,
+/// a hit takes no lock, and the plan lives until exit. Cache hits/misses are
+/// counted in the obs metrics `dsp.fft.plan_hits` / `dsp.fft.plan_misses`.
 const FftPlan& fft_plan(std::size_t n);
 
 /// In-place forward FFT; `x.size()` must be a power of two.

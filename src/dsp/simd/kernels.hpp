@@ -140,23 +140,88 @@ inline void fft_butterfly(cplx* lo, cplx* hi, const cplx* tw) {
   A::store(hi, A::sub(u, v));
 }
 
+/// Stage `len` over `count` elements (a multiple of len) starting at x.
 template <class A>
-void fft_stages_k(cplx* x, std::size_t n, const cplx* twiddle) {
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const cplx* tw = twiddle + (len / 2 - 1);
-    const std::size_t half = len / 2;
-    if (half >= A::kLanes) {
-      // half is a power of two >= kLanes, so rows split evenly: no tail.
-      for (std::size_t i = 0; i < n; i += len)
-        for (std::size_t k = 0; k < half; k += A::kLanes)
-          fft_butterfly<A>(x + i + k, x + i + k + half, tw + k);
-    } else {
-      // Narrow early stages (len=2 under AVX2): width-1, same butterfly.
-      for (std::size_t i = 0; i < n; i += len)
-        for (std::size_t k = 0; k < half; ++k)
-          fft_butterfly<ScalarArch>(x + i + k, x + i + k + half, tw + k);
+inline void fft_stage(cplx* x, std::size_t count, std::size_t len,
+                      const cplx* twiddle) {
+  const cplx* tw = twiddle + (len / 2 - 1);
+  const std::size_t half = len / 2;
+  if (half >= A::kLanes) {
+    // half is a power of two >= kLanes, so rows split evenly: no tail.
+    for (std::size_t i = 0; i < count; i += len)
+      for (std::size_t k = 0; k < half; k += A::kLanes)
+        fft_butterfly<A>(x + i + k, x + i + k + half, tw + k);
+  } else {
+    // Narrow early stages (len=2 under AVX2): width-1, same butterfly.
+    for (std::size_t i = 0; i < count; i += len)
+      for (std::size_t k = 0; k < half; ++k)
+        fft_butterfly<ScalarArch>(x + i + k, x + i + k + half, tw + k);
+  }
+}
+
+/// Stages `len` and `2 * len` over `count` elements in one pass. Offset k of
+/// a 2*len row owns four elements a, b = a + len/2, c = a + len and
+/// d = c + len/2: stage len pairs (a, b) and (c, d) on twiddle k, stage
+/// 2*len then pairs (a, c) on twiddle k and (b, d) on twiddle k + len/2.
+/// Those are exactly the butterflies the two stages run one after the
+/// other, each on the same inputs, so the bits match; the operands just
+/// stay in registers between the stages. Needs len/2 >= kLanes.
+template <class A>
+inline void fft_stage_pair(cplx* x, std::size_t count, std::size_t len,
+                           const cplx* twiddle) {
+  using V = typename A::V;
+  const std::size_t half = len / 2;
+  const cplx* tw1 = twiddle + (half - 1);
+  const cplx* tw2 = twiddle + (len - 1);
+  for (std::size_t i = 0; i < count; i += 2 * len) {
+    for (std::size_t k = 0; k < half; k += A::kLanes) {
+      cplx* a = x + i + k;
+      cplx* b = a + half;
+      cplx* c = a + len;
+      cplx* d = c + half;
+      const V w1 = A::load(tw1 + k);
+      const V va = A::load(a);
+      const V vb = A::cmul(A::load(b), w1);
+      const V vc = A::load(c);
+      const V vd = A::cmul(A::load(d), w1);
+      const V a1 = A::add(va, vb);
+      const V b1 = A::sub(va, vb);
+      const V c1 = A::cmul(A::add(vc, vd), A::load(tw2 + k));
+      const V d1 = A::cmul(A::sub(vc, vd), A::load(tw2 + k + half));
+      A::store(a, A::add(a1, c1));
+      A::store(c, A::sub(a1, c1));
+      A::store(b, A::add(b1, d1));
+      A::store(d, A::sub(b1, d1));
     }
   }
+}
+
+/// Stages len, 2*len, ..., last over `count` elements: in fused pairs
+/// where a pair's narrower stage is at least a vector wide, singly
+/// otherwise.
+template <class A>
+inline void fft_stage_range(cplx* x, std::size_t count, std::size_t len,
+                            std::size_t last, const cplx* twiddle) {
+  for (; len / 2 < A::kLanes && len <= last; len <<= 1)
+    fft_stage<A>(x, count, len, twiddle);
+  for (; 2 * len <= last; len <<= 2) fft_stage_pair<A>(x, count, len, twiddle);
+  if (len <= last) fft_stage<A>(x, count, len, twiddle);
+}
+
+/// Radix-2 DIT stages in cache-friendly order. The stages up to kFftBlock
+/// only mix elements inside one aligned kFftBlock run, so each run goes
+/// through all of them while it is still in L1/L2; the wider stages follow
+/// over the whole array. Every butterfly still sees the inputs, twiddle and
+/// operations of the stage-by-stage order, so the output bits are
+/// unchanged.
+inline constexpr std::size_t kFftBlock = 2048;
+
+template <class A>
+void fft_stages_k(cplx* x, std::size_t n, const cplx* twiddle) {
+  const std::size_t block = std::min(n, kFftBlock);
+  for (std::size_t b = 0; b < n; b += block)
+    fft_stage_range<A>(x + b, block, 2, block, twiddle);
+  fft_stage_range<A>(x, n, 2 * block, n, twiddle);
 }
 
 template <class A>

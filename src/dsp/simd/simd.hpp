@@ -66,7 +66,9 @@ void cscale_inplace(cplx* x, double s, std::size_t n);
 
 /// All Danielson-Lanczos stages of a radix-2 DIT FFT over `n` (a power of
 /// two) already bit-reversed samples; `twiddle` is the FftPlan per-stage
-/// table with stage `len` starting at offset len/2 - 1.
+/// table with stage `len` starting at offset len/2 - 1. The butterflies run
+/// cache-blocked and two stages at a time, with the bits of the plain
+/// stage-by-stage loop.
 void fft_stages(cplx* x, std::size_t n, const cplx* twiddle);
 
 /// out[i] = x[i] * tone[i] (real passband sample times complex tone).

@@ -42,6 +42,19 @@ bitvec encode_uplink(const bitvec& bits, UplinkCode code) {
   return fm0_encode(bits);
 }
 
+// First passband sample whose chip index size_t(double(i) / spc) is >= c.
+// The index is monotone in i, so the ceil estimate is at most a sample off
+// and is settled against the same division the per-sample formula uses.
+std::size_t chip_start(std::size_t c, double spc) {
+  const auto chip_of = [spc](std::size_t i) {
+    return static_cast<std::size_t>(static_cast<double>(i) / spc);
+  };
+  auto i = static_cast<std::size_t>(std::ceil(static_cast<double>(c) * spc));
+  while (i > 0 && chip_of(i - 1) >= c) --i;
+  while (chip_of(i) < c) ++i;
+  return i;
+}
+
 bitvec decode_uplink_soft(const rvec& soft, UplinkCode code) {
   switch (code) {
     case UplinkCode::kMiller2: return miller_decode_soft(soft, 2);
@@ -82,10 +95,15 @@ void BackscatterModulator::switch_waveform(const bitvec& payload_bits,
   const double spc = cfg_.fs_hz / cfg_.chip_rate_hz();
   const auto n =
       static_cast<std::size_t>(std::ceil(static_cast<double>(chips.size()) * spc));
+  // Sample i carries chip size_t(i / spc), the last chip past the end;
+  // runs are filled between chip boundaries instead of dividing per sample.
   wave.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::size_t>(static_cast<double>(i) / spc);
-    wave[i] = chips[std::min(c, chips.size() - 1)];
+  std::size_t i = 0;
+  for (std::size_t c = 0; i < n; ++c) {
+    const std::size_t end = c + 1 < chips.size() ? std::min(chip_start(c + 1, spc), n) : n;
+    std::fill(wave.begin() + static_cast<std::ptrdiff_t>(i),
+              wave.begin() + static_cast<std::ptrdiff_t>(end), chips[c]);
+    i = end;
   }
 }
 
@@ -102,11 +120,12 @@ void BackscatterModulator::active_mask(std::size_t n_payload_bits, bitvec& mask)
   const std::size_t chips = 2 * kIdleChips + active_chips;
   const double spc = cfg_.fs_hz / cfg_.chip_rate_hz();
   const auto n = static_cast<std::size_t>(std::ceil(static_cast<double>(chips) * spc));
+  // 1 where sample i's chip size_t(i / spc) is an active one.
   mask.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::size_t>(static_cast<double>(i) / spc);
-    mask[i] = (c >= kIdleChips && c < kIdleChips + active_chips) ? 1 : 0;
-  }
+  const std::size_t first = std::min(chip_start(kIdleChips, spc), n);
+  const std::size_t last = std::min(chip_start(kIdleChips + active_chips, spc), n);
+  std::fill(mask.begin() + static_cast<std::ptrdiff_t>(first),
+            mask.begin() + static_cast<std::ptrdiff_t>(last), std::uint8_t{1});
 }
 
 ReaderDemodulator::ReaderDemodulator(PhyConfig cfg) : cfg_(cfg) {
@@ -244,7 +263,11 @@ DemodResult ReaderDemodulator::demodulate(const rvec& passband,
       const cvec w = design_zf_equalizer(est, cfg_.equalizer_taps, delay);
       cvec shifted = chips;
       for (auto& v : shifted) v -= est.baseline;
-      chips = equalize(shifted, w, delay);
+      // Copied into the lease rather than move-assigned: a move would hand
+      // the arena this small vector in place of its pooled buffer, and a
+      // later full-length take would have to regrow it every trial.
+      const cvec eq = equalize(shifted, w, delay);
+      chips.assign(eq.begin(), eq.end());
       // Residual complex gain after equalization, from the training region.
       cplx g{};
       for (std::size_t c = 0; c < n_known; ++c) g += chips[c] * pre_levels[c];

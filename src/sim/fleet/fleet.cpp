@@ -70,13 +70,17 @@ FleetLayout make_layout(const FleetConfig& cfg, const common::Rng& rng) {
     out.readers.push_back(Position{static_cast<double>(r % g + 1) * pitch,
                                    static_cast<double>(r / g + 1) * pitch});
   }
-  // Nodes land uniformly; one sequential stream, consumed in id order.
+  // Nodes land uniformly; one sequential stream, consumed in id order,
+  // x then y per node, drawn a stack chunk at a time.
   common::Rng node_rng = rng.child(kStreamLayout);
   out.nodes.reserve(cfg.n_nodes);
-  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    const double x = node_rng.uniform(0.0, cfg.area_m);
-    const double y = node_rng.uniform(0.0, cfg.area_m);
-    out.nodes.push_back(Position{x, y});
+  constexpr std::size_t kChunk = 256;
+  double xy[2 * kChunk];
+  for (std::size_t i = 0; i < cfg.n_nodes; i += kChunk) {
+    const std::size_t m = std::min(kChunk, cfg.n_nodes - i);
+    node_rng.fill_uniform(xy, 2 * m, 0.0, cfg.area_m);
+    for (std::size_t j = 0; j < m; ++j)
+      out.nodes.push_back(Position{xy[2 * j], xy[2 * j + 1]});
   }
   return out;
 }

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "channel/absorption.hpp"
 #include "channel/noise.hpp"
 #include "channel/soundspeed.hpp"
 #include "channel/spreading.hpp"
 #include "common/rng.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace vab::channel {
@@ -151,6 +153,41 @@ TEST(Noise, SynthesisDeterministicPerSeed) {
   const rvec x = synthesize_ambient_noise(1024, common::SampleRateHz{48000.0}, cond, a);
   const rvec y = synthesize_ambient_noise(1024, common::SampleRateHz{48000.0}, cond, b);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(x[i], y[i]);
+}
+
+// FNV-1a over synthesized noise at degenerate, odd and campaign capture
+// lengths (the last four are the waveform campaign's 100..400 m captures),
+// plus one draw after each to pin the generator's final state.
+std::uint64_t synthesis_bits_hash() {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  NoiseConditions cond;
+  cond.wind_speed_mps = 7.0;
+  for (const std::size_t n : {1, 2, 3, 100, 1025, 42549, 61992, 81569, 101181}) {
+    common::Rng rng(700 + n);
+    const rvec x = synthesize_ambient_noise(n, common::SampleRateHz{96000.0}, cond, rng);
+    fold(x.data(), x.size() * sizeof(double));
+    const double next = rng.uniform();
+    fold(&next, sizeof next);
+  }
+  return h;
+}
+
+// Noise output bits pinned to the natural-order fill and stage-by-stage
+// inverse FFT, on the dispatched ISA and the scalar reference alike.
+TEST(Noise, SynthesisBitsPinned) {
+  constexpr std::uint64_t kPinned = 0xdfef101fc5ae4785ULL;
+  EXPECT_EQ(synthesis_bits_hash(), kPinned)
+      << "dispatch " << dsp::simd::isa_name(dsp::simd::active_isa());
+  ASSERT_TRUE(dsp::simd::force_isa(dsp::simd::Isa::kScalar));
+  EXPECT_EQ(synthesis_bits_hash(), kPinned) << "forced scalar";
+  dsp::simd::reset_isa();
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace vab::dsp {
 namespace {
@@ -136,7 +138,7 @@ TEST(FftPlan, CachedPlanBitIdenticalToFreshPlan) {
   common::Rng rng(11);
   cvec x(256);
   for (auto& v : x) v = rng.complex_gaussian();
-  // Repeated transforms through the thread-local cache and a freshly built
+  // Repeated transforms through the process-wide cache and a freshly built
   // plan must agree bit-for-bit: the cache changes where the twiddles live,
   // never their values.
   cvec cached1 = x, cached2 = x, fresh = x;
@@ -147,6 +149,41 @@ TEST(FftPlan, CachedPlanBitIdenticalToFreshPlan) {
     EXPECT_EQ(cached1[k], cached2[k]) << "bin " << k;
     EXPECT_EQ(cached1[k], fresh[k]) << "bin " << k;
   }
+}
+
+// FNV-1a over the output bytes of forward then inverse at every
+// power-of-two size 1..2^17, from one seeded input stream.
+std::uint64_t transform_bits_hash() {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](const cvec& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+    for (std::size_t i = 0; i < v.size() * sizeof(cplx); ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  common::Rng rng(17);
+  for (std::size_t n = 1; n <= (std::size_t{1} << 17); n <<= 1) {
+    cvec x(n);
+    for (auto& v : x) v = rng.complex_gaussian();
+    const FftPlan& plan = fft_plan(n);
+    plan.forward(x.data());
+    fold(x);
+    plan.inverse(x.data());
+    fold(x);
+  }
+  return h;
+}
+
+// The transforms' output bits, pinned to the plain stage-by-stage radix-2
+// order: any reordering or fusion of the butterflies must leave every bit
+// where it was, on the dispatched ISA and the scalar reference alike.
+TEST(FftPlan, TransformBitsPinned) {
+  constexpr std::uint64_t kPinned = 0x7a59130085a884f7ULL;
+  EXPECT_EQ(transform_bits_hash(), kPinned) << "dispatch " << simd::isa_name(simd::active_isa());
+  ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+  EXPECT_EQ(transform_bits_hash(), kPinned) << "forced scalar";
+  simd::reset_isa();
 }
 
 TEST(FftPlan, InverseRoundTripInPlace) {

@@ -1,10 +1,13 @@
 // Scratch-arena semantics: zero-filled leases, buffer recycling, flat
 // steady-state growth, and the zero-allocation guarantee of the waveform
 // trial loop. The multi-thread cases double as the TSan exercise for the
-// thread-local plan cache and arena.
+// shared plan cache and the thread-local arena.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -103,9 +106,9 @@ TEST(Workspace, WaveformTrialLoopAllocatesNothingSteadyState) {
       << "steady-state waveform trials must not allocate from the arena";
 }
 
-// Arenas and FFT plan caches are strictly thread-local; concurrent use from
-// many threads must neither race (TSan job runs this) nor cross-pollinate
-// buffers between threads.
+// Arenas are strictly thread-local; concurrent use from many threads must
+// neither race (TSan job runs this) nor cross-pollinate buffers between
+// threads.
 TEST(Workspace, ThreadLocalArenasAreIsolated) {
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -130,12 +133,25 @@ TEST(Workspace, ThreadLocalArenasAreIsolated) {
 
 TEST(Workspace, ConcurrentPlanCacheUseIsRaceFreeAndCorrect) {
   constexpr int kThreads = 8;
-  // Each thread hammers the thread-local plan cache at shared sizes and
-  // checks a round trip; any hidden shared state would trip TSan here.
+  // Sizes nothing else in this binary builds: the threads are released
+  // together, so their first lookups race to build each plan, and every
+  // thread must come back with the one shared plan per size. Then each
+  // thread hammers the cache at shared sizes and checks a round trip; any
+  // unsynchronized state would trip TSan here.
+  constexpr std::size_t kFresh[] = {8, 32, 512, 8192, 16384};
+  constexpr std::size_t kSizes = std::size(kFresh);
+  std::atomic<int> arrived{0};
+  std::vector<std::array<const FftPlan*, kSizes>> seen(kThreads);
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &failures] {
+    threads.emplace_back([t, &failures, &arrived, &seen, &kFresh] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (std::size_t j = 0; j < kSizes; ++j) {
+        const std::size_t s = (j + static_cast<std::size_t>(t)) % kSizes;
+        seen[t][s] = &fft_plan(kFresh[s]);
+      }
       common::Rng rng(static_cast<std::uint64_t>(200 + t));
       for (int i = 0; i < 20; ++i) {
         const std::size_t n = (i % 2 == 0) ? 256 : 1024;
@@ -153,6 +169,12 @@ TEST(Workspace, ConcurrentPlanCacheUseIsRaceFreeAndCorrect) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  for (std::size_t s = 0; s < kSizes; ++s) {
+    const FftPlan* plan = &fft_plan(kFresh[s]);
+    EXPECT_EQ(plan->size(), kFresh[s]);
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(seen[t][s], plan) << "size " << kFresh[s] << " thread " << t;
+  }
 }
 
 }  // namespace

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/mixer.hpp"
+#include "net/mcs/mcs.hpp"
 #include "phy/coding.hpp"
+#include "phy/fec.hpp"
 #include "phy/fm0.hpp"
+#include "phy/miller.hpp"
 #include "phy/modem.hpp"
+#include "sim/scenario.hpp"
 
 namespace vab {
 namespace {
@@ -86,6 +91,62 @@ TEST(Modulator, ActiveMaskCoversPreambleAndData) {
       static_cast<double>(phy::BackscatterModulator::kSettleChips +
                           phy::fm0_preamble_chips().size() + 2 * n_bits);
   EXPECT_NEAR(static_cast<double>(active), expect_chips * spc, 2 * spc);
+}
+
+// The modulator fills chip runs between boundaries; the reference is the
+// per-sample formula it replaced: sample i carries chip size_t(i / spc),
+// clamped to the last chip, and is active inside the frame's chips.
+TEST(Modulator, ChipRunsMatchPerSampleDivision) {
+  std::vector<phy::PhyConfig> cfgs = {phy::PhyConfig{}, sim::vab_river_scenario().phy,
+                                      sim::pab_river_scenario().phy,
+                                      sim::vab_ocean_scenario().phy};
+  const auto ladder = net::mcs::McsLadder::default_ladder();
+  for (std::size_t r = 0; r < ladder.size(); ++r) {
+    phy::PhyConfig p = sim::vab_river_scenario().phy;
+    phy::FecConfig fec;
+    ladder.rung(r).apply(p, fec);
+    cfgs.push_back(p);
+  }
+  // Ratios fs / chip_rate that are not integers, not finite binary
+  // fractions, or land chip boundaries a rounding error from a sample.
+  const double awkward[][2] = {{96000.0, 700.0},   {44100.0, 333.0}, {100000.0, 3.0},
+                               {192000.0, 1234.5}, {48000.0, 7.0},   {96000.0, 480.0},
+                               {10000.0, 0.3},     {22050.0, 49.1}};
+  for (const auto& fb : awkward) {
+    phy::PhyConfig p = test_config(fb[1]);
+    p.fs_hz = fb[0];
+    p.carrier_hz = fb[0] / 5.0;
+    cfgs.push_back(p);
+  }
+  common::Rng rng(5);
+  const bitvec payload = rng.random_bits(24);
+  for (const auto& cfg : cfgs) {
+    phy::BackscatterModulator mod(cfg);
+    bitvec chips(phy::BackscatterModulator::kIdleChips, 0);
+    for (std::size_t i = 0; i < phy::BackscatterModulator::kSettleChips; ++i)
+      chips.push_back(static_cast<std::uint8_t>(i & 1u));
+    const std::size_t first_active = chips.size() - phy::BackscatterModulator::kSettleChips;
+    const bitvec& pre = phy::fm0_preamble_chips();
+    chips.insert(chips.end(), pre.begin(), pre.end());
+    const bitvec data = cfg.uplink_code == phy::UplinkCode::kFm0
+                            ? phy::fm0_encode(payload)
+                            : phy::miller_encode(payload, static_cast<unsigned>(cfg.chips_per_bit() / 2));
+    chips.insert(chips.end(), data.begin(), data.end());
+    const std::size_t end_active = chips.size();
+    chips.insert(chips.end(), phy::BackscatterModulator::kIdleChips, 0);
+
+    const bitvec wave = mod.switch_waveform(payload);
+    const bitvec mask = mod.active_mask(payload.size());
+    const double spc = cfg.fs_hz / cfg.chip_rate_hz();
+    ASSERT_EQ(wave.size(), mask.size());
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const auto c = static_cast<std::size_t>(static_cast<double>(i) / spc);
+      ASSERT_EQ(wave[i], chips[std::min(c, chips.size() - 1)])
+          << "fs " << cfg.fs_hz << " chip rate " << cfg.chip_rate_hz() << " sample " << i;
+      ASSERT_EQ(mask[i], (c >= first_active && c < end_active) ? 1 : 0)
+          << "fs " << cfg.fs_hz << " chip rate " << cfg.chip_rate_hz() << " sample " << i;
+    }
+  }
 }
 
 TEST(Demodulator, DecodesCleanOnOffCapture) {

@@ -191,6 +191,30 @@ TEST(RngStream, FillComplexGaussianEqualsScalarCalls) {
   }
 }
 
+TEST(RngStream, FillUniformEqualsScalarCalls) {
+  const std::size_t sizes[] = {0, 1, 2, 311, 312, 313, 700, 2048};
+  // Offsets start the fill at, inside and at the last word of an engine
+  // block, so the longer fills straddle one or more refills.
+  const std::size_t offsets[] = {0, 1, 155, 311};
+  for (const std::size_t n : sizes) {
+    for (const std::size_t offset : offsets) {
+      Rng batched(0x5eed ^ n);
+      Rng scalar(0x5eed ^ n);
+      for (std::size_t k = 0; k < offset; ++k) {
+        batched.engine()();
+        scalar.engine()();
+      }
+      std::vector<double> out(n);
+      batched.fill_uniform(out.data(), n, -3.5, 1250.25);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(scalar.uniform(-3.5, 1250.25)))
+            << "n " << n << " offset " << offset << " i " << i;
+      ASSERT_EQ(bits(batched.uniform()), bits(scalar.uniform()));
+      ASSERT_EQ(batched.engine()(), scalar.engine()());
+    }
+  }
+}
+
 TEST(RngStream, StateStaysEngineSized) {
   EXPECT_LE(sizeof(Rng), sizeof(std::mt19937_64) + 32);
 }
